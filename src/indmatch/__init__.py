@@ -58,15 +58,9 @@ from .generators import (
 )
 from .graph import (
     Graph,
-    IsolatedProfile,
-    ShortCycleReport,
-    bfs_distance,
     build_graph,
-    d_out,
     is_induced_matching,
     is_isomorphic_c25,
-    isolated_profile,
-    short_cycle,
 )
 from .harness import (
     FuzzConfig,
@@ -123,15 +117,9 @@ __all__ = [
     "gen_tight9",
     "splitmix64_next",
     "Graph",
-    "IsolatedProfile",
-    "ShortCycleReport",
-    "bfs_distance",
     "build_graph",
-    "d_out",
     "is_induced_matching",
     "is_isomorphic_c25",
-    "isolated_profile",
-    "short_cycle",
     "FuzzConfig",
     "FuzzFailure",
     "FuzzReport",

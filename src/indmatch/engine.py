@@ -17,9 +17,11 @@ pay for their removals. The searches for that second edge re-validate the
 candidate pair explicitly instead of trusting structure; if no candidate
 survives, the engine raises InvariantViolationError rather than emit an
 unpaid step, and the fuzz harness exists to prove that never happens.
+Every step, rule or exact, passes the same _step_violations check against
+the live graph before it is applied.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .errors import (
@@ -45,15 +47,12 @@ class ReductionStep:
     """One engine move: match these edges, then delete these vertices.
 
     rule is one of R1..R12 or EXACT. matched holds (min, max) pairs, removed
-    the sorted tuple of deleted vertices. metrics carries the counters the
-    step's safety checks used (sizes, newly isolated, boundary edges); it is
-    advisory and not part of the serialized certificate.
+    the sorted tuple of deleted vertices.
     """
 
     rule: str
     matched: tuple
     removed: tuple
-    metrics: dict = field(compare=False, default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -86,13 +85,7 @@ def solve(g, exact_threshold=EXACT_THRESHOLD):
     and InvariantViolationError if any internal consistency check fails
     (which would be a bug, not an input problem).
     """
-    if exact_threshold < 10:
-        raise ValueError(
-            f"exact_threshold must be at least 10, got {exact_threshold}"
-        )
-    for v in g.vertices():
-        if g.degree(v) > 4:
-            raise MaxDegreeExceededError(v, g.degree(v))
+    _check_input(g, exact_threshold)
     comps = g.components()
     for comp in comps:
         if len(comp) == 10 and is_isomorphic_c25(g.subgraph(comp)):
@@ -112,16 +105,8 @@ def solve(g, exact_threshold=EXACT_THRESHOLD):
         pool = _Pool(pool_adj)
         while pool.adj:
             step = pool.find_step()
-            if step is None:
-                raise pool.violation(
-                    "R12", None, "no rule applies to a non-empty graph"
-                )
-            problems = _step_violations(pool.adj, step.matched, step.removed)
-            if problems:
-                raise pool.violation(
-                    step.rule, step.matched, "; ".join(m for _, m in problems)
-                )
-            _, survivors = pool.apply(set(step.removed))
+            pool.check(step, step.matched)
+            survivors = pool.apply(set(step.removed))
             steps.append(step)
             for comp in pool.split_small(survivors, exact_threshold):
                 if len(comp) == 10:
@@ -132,11 +117,7 @@ def solve(g, exact_threshold=EXACT_THRESHOLD):
                             "excluded 10-vertex component arose mid-reduction",
                         )
                 estep = _exact_step(pool.adj, comp)
-                problems = _step_violations(pool.adj, estep.matched, estep.removed)
-                if problems:
-                    raise pool.violation(
-                        "EXACT", tuple(comp), "; ".join(m for _, m in problems)
-                    )
+                pool.check(estep, tuple(comp))
                 pool.apply(set(comp))
                 steps.append(estep)
     matching = []
@@ -164,13 +145,7 @@ def next_reduction(g, exact_threshold=EXACT_THRESHOLD):
     degree at most 4; smaller graphs go straight to the exact solver and
     have no rule step defined.
     """
-    if exact_threshold < 10:
-        raise ValueError(
-            f"exact_threshold must be at least 10, got {exact_threshold}"
-        )
-    for v in g.vertices():
-        if g.degree(v) > 4:
-            raise MaxDegreeExceededError(v, g.degree(v))
+    _check_input(g, exact_threshold)
     if g.n <= exact_threshold:
         raise ValueError(
             f"graph has {g.n} <= {exact_threshold} vertices;"
@@ -180,13 +155,7 @@ def next_reduction(g, exact_threshold=EXACT_THRESHOLD):
         raise ValueError("graph is not connected")
     pool = _Pool({v: set(g.neighbors(v)) for v in g.vertices()})
     step = pool.find_step()
-    if step is None:
-        raise pool.violation("R12", None, "no rule applies to a non-empty graph")
-    problems = _step_violations(pool.adj, step.matched, step.removed)
-    if problems:
-        raise pool.violation(
-            step.rule, step.matched, "; ".join(m for _, m in problems)
-        )
+    pool.check(step, step.matched)
     return step
 
 
@@ -211,18 +180,30 @@ def find_induced_2matching_within(g, vertices):
     return _lex_first_2matching(g.adjacency, scope)
 
 
+def _check_input(g, exact_threshold):
+    if exact_threshold < 10:
+        raise ValueError(
+            f"exact_threshold must be at least 10, got {exact_threshold}"
+        )
+    for v in g.vertices():
+        if g.degree(v) > 4:
+            raise MaxDegreeExceededError(v, g.degree(v))
+
+
 def _exact_step(adj, comp):
     sub_adj = {v: frozenset(adj[v]) for v in comp}
     m = sum(len(s) for s in sub_adj.values()) // 2
     sub = Graph._trusted(sub_adj, m)
-    matched = max_induced_matching(sub)
-    metrics = {
-        "removed_size": len(comp),
-        "isolated_after": 0,
-        "edges_out": 0,
-        "component_size": len(comp),
-    }
-    return ReductionStep("EXACT", matched, tuple(comp), metrics)
+    return ReductionStep("EXACT", max_induced_matching(sub), tuple(comp))
+
+
+def _step(rule, matched, removed):
+    """A rule step in certificate form: normalized pairs, sorted removals.
+
+    Whether the step is valid and paid for is decided by _step_violations,
+    which both callers of _Pool.find_step run before using the step.
+    """
+    return ReductionStep(rule, _norm_pairs(matched), tuple(sorted(removed)))
 
 
 def _norm_pairs(pairs):
@@ -326,29 +307,31 @@ class _Pool:
     only die after the one up-front enumeration. Each queue entry is pushed
     at the event that could first make it fire and re-checked against the
     live adjacency when popped; stale entries are discarded then.
+
+    Rule Rk owns queues["Rk"], the predicate _valid_rk that tells a live
+    queue head from a stale one, and _build_rk that turns a live head into
+    the step.
     """
 
     def __init__(self, adj):
         self.adj = adj
-        self.r1 = []
-        self.r2 = []
-        self.r3 = []
-        self.r4 = []
-        self.r5 = []
-        self.r6 = []
-        self.r7 = []
-        self.r8 = []
-        self.r9 = []
-        self.r10 = []
-        self.r11 = []
-        self.r12 = []
+        self.queues = {name: [] for name in RULE_NAMES}
+        self.rules = tuple(
+            (
+                name,
+                self.queues[name],
+                getattr(self, f"_valid_{name.lower()}"),
+                getattr(self, f"_build_{name.lower()}"),
+            )
+            for name in RULE_NAMES
+        )
         # anchors[w] lists ends u (with their neighbor v) having w in
         # N(v) - {u}; two ends meeting at an anchor sit at distance 4
         # unless their neighbors coincide or touch.
         self.anchors = {}
         # Triangles, 4-cycles, and plain edges only ever disappear, so their
-        # queues are enumerated once, and lazily: a run dominated by the
-        # earlier rules never pays for them.
+        # queues (R9, R11, R12) are enumerated once, and lazily: a run
+        # dominated by the earlier rules never pays for them.
         self._static_built = False
         for v in sorted(adj):
             d = len(adj[v])
@@ -362,16 +345,19 @@ class _Pool:
     def _build_static(self):
         self._static_built = True
         adj = self.adj
+        r9 = self.queues["R9"]
+        r11 = self.queues["R11"]
+        r12 = self.queues["R12"]
         for u in sorted(adj):
             over = sorted(x for x in adj[u] if x > u)
             for i, v in enumerate(over):
                 av = adj[v]
                 for w in over[i + 1 :]:
                     if w in av:
-                        self.r9.append((u, v, w))
+                        r9.append((u, v, w))
             for v in adj[u]:
                 if u < v:
-                    self.r12.append((u, v))
+                    r12.append((u, v))
         pair_map = {}
         for b in sorted(adj):
             nbrs = sorted(adj[b])
@@ -387,23 +373,24 @@ class _Pool:
                 if x > p:
                     continue
                 for y in common[i + 1 :]:
-                    self.r11.append((x, p, y, q))
-        heapify(self.r9)
-        heapify(self.r11)
-        heapify(self.r12)
+                    r11.append((x, p, y, q))
+        heapify(r9)
+        heapify(r11)
+        heapify(r12)
 
     # ----- candidate events -------------------------------------------------
 
     def _push_end_events(self, y):
         adj = self.adj
+        queues = self.queues
         (v,) = adj[y]
-        heappush(self.r4, y)
+        heappush(queues["R4"], y)
         if len(adj[v]) <= 3:
-            heappush(self.r1, (y, v))
+            heappush(queues["R1"], (y, v))
         for u in adj[v]:
             if u != y and len(adj[u]) == 1:
                 pair = (y, u) if y < u else (u, y)
-                heappush(self.r2, (pair[0], pair[1], v))
+                heappush(queues["R2"], (pair[0], pair[1], v))
         # Anchor sets N(v) - {u} only shrink while an end lives, so any two
         # ends that ever share an anchor already share it when the younger
         # one is born; scanning buckets here therefore finds every pair.
@@ -422,30 +409,31 @@ class _Pool:
                     # one of the ends dies, so those pairs are never viable.
                     if v2 != v and v2 not in adj[v]:
                         pair = (y, u2) if y < u2 else (u2, y)
-                        heappush(self.r3, pair)
+                        heappush(queues["R3"], pair)
             live.append((y, v))
             self.anchors[w] = live
 
     def _push_deg2_events(self, y):
+        queues = self.queues
         a, b = sorted(self.adj[y])
         for t in (a, b):
             if len(self.adj[t]) == 2:
-                heappush(self.r5, (y, t))
-                heappush(self.r5, (t, y))
+                heappush(queues["R5"], (y, t))
+                heappush(queues["R5"], (t, y))
             if len(self.adj[t]) == 1:
-                heappush(self.r1, (t, y))
+                heappush(queues["R1"], (t, y))
         if b in self.adj[a]:
-            heappush(self.r6, y)
+            heappush(queues["R6"], y)
         if self._common_excluding(a, b, y):
-            heappush(self.r7, y)
-        heappush(self.r8, y)
+            heappush(queues["R7"], y)
+        heappush(queues["R8"], y)
 
     def _push_deg3_events(self, y):
         if self._has_cycle4_through(y):
-            heappush(self.r10, y)
+            heappush(self.queues["R10"], y)
         for u in self.adj[y]:
             if len(self.adj[u]) == 1:
-                heappush(self.r1, (u, y))
+                heappush(self.queues["R1"], (u, y))
 
     def _common_excluding(self, a, b, y):
         nb = self.adj[b]
@@ -469,9 +457,8 @@ class _Pool:
     def apply(self, removed):
         """Delete the removed set plus anyone it isolates.
 
-        Returns (newly_isolated, survivors), both sorted; survivors are the
-        boundary vertices that stay, i.e. the only places where a component
-        can have shrunk.
+        Returns the survivors, sorted: the boundary vertices that stay, i.e.
+        the only places where a component can have shrunk.
         """
         boundary = set()
         for x in removed:
@@ -482,13 +469,11 @@ class _Pool:
         ordered = sorted(boundary)
         for y in ordered:
             self.adj[y] -= removed
-        newly_isolated = []
         survivors = []
         for y in ordered:
             if self.adj[y]:
                 survivors.append(y)
             else:
-                newly_isolated.append(y)
                 del self.adj[y]
         # Events fire only after every boundary degree is final, so the
         # degree tests inside the pushes never see half-applied state.
@@ -500,7 +485,7 @@ class _Pool:
                 self._push_deg2_events(y)
             elif d == 3:
                 self._push_deg3_events(y)
-        return newly_isolated, survivors
+        return survivors
 
     def split_small(self, seeds, threshold):
         """Components of at most threshold vertices touching the seeds.
@@ -536,15 +521,24 @@ class _Pool:
     # ----- step construction ------------------------------------------------
 
     def find_step(self):
-        for finder in (
-            self._find_r1, self._find_r2, self._find_r3, self._find_r4,
-            self._find_r5, self._find_r6, self._find_r7, self._find_r8,
-            self._find_r9, self._find_r10, self._find_r11, self._find_r12,
-        ):
-            step = finder()
-            if step is not None:
-                return step
-        return None
+        """The highest-priority rule's step at its smallest live witness."""
+        for name, queue, valid, build in self.rules:
+            if name == "R9" and not self._static_built:
+                self._build_static()
+            while queue:
+                if valid(queue[0]):
+                    return build(queue[0])
+                heappop(queue)
+        raise self.violation("R12", None, "no rule applies to a non-empty graph")
+
+    def check(self, step, witness):
+        """Raise InvariantViolationError unless the step is valid and paid
+        for on the live graph."""
+        problems = _step_violations(self.adj, step.matched, step.removed)
+        if problems:
+            raise self.violation(
+                step.rule, witness, "; ".join(m for _, m in problems)
+            )
 
     def violation(self, rule, witness, detail):
         from .formats import format_graph
@@ -553,15 +547,6 @@ class _Pool:
         return InvariantViolationError(
             detail, rule=rule, witness=witness, graph_text=format_graph(snapshot)
         )
-
-    @staticmethod
-    def _peek(heap, valid):
-        while heap:
-            entry = heap[0]
-            if valid(entry):
-                return entry
-            heappop(heap)
-        return None
 
     def _isolated_by(self, removed):
         adj = self.adj
@@ -576,41 +561,6 @@ class _Pool:
                     out.append(y)
         out.sort()
         return out
-
-    def _edges_out(self, removed):
-        return sum(
-            1 for x in removed for y in self.adj[x] if y not in removed
-        )
-
-    def _one_edge_step(self, rule, u, v, removed, witness, iso=None):
-        if iso is None:
-            iso = self._isolated_by(removed)
-        if len(removed) + len(iso) > 9:
-            raise self.violation(
-                rule, witness,
-                f"one-edge step removes {len(removed)} and isolates {len(iso)}",
-            )
-        pair = (u, v) if u < v else (v, u)
-        metrics = {
-            "removed_size": len(removed),
-            "isolated_after": len(iso),
-            "edges_out": self._edges_out(removed),
-        }
-        return ReductionStep(rule, (pair,), tuple(sorted(removed)), metrics)
-
-    def _two_edge_step(self, rule, matched, removed, witness):
-        iso = self._isolated_by(removed)
-        if len(removed) + len(iso) > 18:
-            raise self.violation(
-                rule, witness,
-                f"two-edge step removes {len(removed)} and isolates {len(iso)}",
-            )
-        metrics = {
-            "removed_size": len(removed),
-            "isolated_after": len(iso),
-            "edges_out": self._edges_out(removed),
-        }
-        return ReductionStep(rule, matched, tuple(sorted(removed)), metrics)
 
     def _induced_ok(self, matched):
         endpoints = [p for e in matched for p in e]
@@ -638,16 +588,13 @@ class _Pool:
             and v in adj[u] and len(adj[v]) <= 3
         )
 
-    def _find_r1(self):
+    def _build_r1(self, entry):
         # Pendant edge at a low-degree neighbor: delete the neighbor's
         # closed neighborhood, match the pendant edge.
-        entry = self._peek(self.r1, self._valid_r1)
-        if entry is None:
-            return None
         u, v = entry
         removed = set(self.adj[v])
         removed.add(v)
-        return self._one_edge_step("R1", u, v, removed, entry)
+        return _step("R1", ((u, v),), removed)
 
     def _valid_r2(self, entry):
         u1, u2, v = entry
@@ -658,20 +605,16 @@ class _Pool:
             and v in adj[u1] and v in adj[u2]
         )
 
-    def _find_r2(self):
+    def _build_r2(self, entry):
         # Two pendant vertices on one degree-4 center. Either deleting the
         # center's closed neighborhood isolates little, or the center's two
         # spare neighbors carry pendant edges of their own that pay for a
         # bigger removal.
-        entry = self._peek(self.r2, self._valid_r2)
-        if entry is None:
-            return None
         u1, u2, v = entry
         x = set(self.adj[v])
         x.add(v)
-        iso = self._isolated_by(x)
-        if len(iso) <= 4:
-            return self._one_edge_step("R2", u1, v, x, entry, iso=iso)
+        if len(self._isolated_by(x)) <= 4:
+            return _step("R2", ((u1, v),), x)
         spare = sorted(self.adj[v] - {u1, u2})
         if len(spare) != 2:
             raise self.violation("R2", entry, "center is not degree 4")
@@ -684,10 +627,10 @@ class _Pool:
             for t2 in sorted(self.adj[w2]):
                 if len(self.adj[t2]) != 1 or t2 == t1:
                     continue
-                matched = _norm_pairs(((w1, t1), (w2, t2)))
+                matched = ((w1, t1), (w2, t2))
                 if self._induced_ok(matched):
                     removed = x | self.adj[w1] | self.adj[w2]
-                    return self._two_edge_step("R2", matched, removed, entry)
+                    return _step("R2", matched, removed)
         raise self.violation("R2", entry, "no pendant pair on the spare neighbors")
 
     def _valid_r3(self, entry):
@@ -704,37 +647,28 @@ class _Pool:
         nv2 = adj[v2]
         return any(w in nv2 for w in adj[v1])
 
-    def _find_r3(self):
+    def _build_r3(self, entry):
         # Two pendant vertices exactly distance 4 apart: match both pendant
         # edges, delete both neighbors' closed neighborhoods.
-        entry = self._peek(self.r3, self._valid_r3)
-        if entry is None:
-            return None
         u1, u2 = entry
         (v1,) = self.adj[u1]
         (v2,) = self.adj[u2]
-        matched = _norm_pairs(((u1, v1), (u2, v2)))
-        if not self._induced_ok(matched):
-            raise self.violation("R3", entry, "pendant pair is not induced")
         removed = {v1, v2} | self.adj[v1] | self.adj[v2]
-        return self._two_edge_step("R3", matched, removed, entry)
+        return _step("R3", ((u1, v1), (u2, v2)), removed)
 
     def _valid_r4(self, u):
         return u in self.adj and len(self.adj[u]) == 1
 
-    def _find_r4(self):
+    def _build_r4(self, u):
         # Any remaining pendant vertex: its neighbor has degree 4 (R1 would
         # have fired otherwise) and isolates at most 4 vertices here.
-        u = self._peek(self.r4, self._valid_r4)
-        if u is None:
-            return None
         (v,) = self.adj[u]
         x = set(self.adj[v])
         x.add(v)
         iso = self._isolated_by(x)
         if len(iso) > 4:
             raise self.violation("R4", u, f"isolates {len(iso)}, expected <= 4")
-        return self._one_edge_step("R4", u, v, x, u, iso=iso)
+        return _step("R4", ((u, v),), x)
 
     def _valid_r5(self, entry):
         u, v = entry
@@ -744,15 +678,11 @@ class _Pool:
             and len(adj[u]) == 2 and len(adj[v]) == 2
         )
 
-    def _find_r5(self):
+    def _build_r5(self, entry):
         # Adjacent degree-2 pair: match their edge, delete both
         # neighborhoods (at most 4 vertices).
-        entry = self._peek(self.r5, self._valid_r5)
-        if entry is None:
-            return None
         u, v = entry
-        removed = self.adj[u] | self.adj[v]
-        return self._one_edge_step("R5", u, v, removed, entry)
+        return _step("R5", (entry,), self.adj[u] | self.adj[v])
 
     def _valid_r6(self, u):
         adj = self.adj
@@ -761,14 +691,10 @@ class _Pool:
         a, b = adj[u]
         return b in adj[a]
 
-    def _find_r6(self):
+    def _build_r6(self, u):
         # Degree-2 vertex in a triangle: match it to its smaller neighbor.
-        u = self._peek(self.r6, self._valid_r6)
-        if u is None:
-            return None
         v = min(self.adj[u])
-        removed = self.adj[u] | self.adj[v]
-        return self._one_edge_step("R6", u, v, removed, u)
+        return _step("R6", ((u, v),), self.adj[u] | self.adj[v])
 
     def _valid_r7(self, u):
         adj = self.adj
@@ -777,13 +703,10 @@ class _Pool:
         a, b = sorted(adj[u])
         return self._common_excluding(a, b, u)
 
-    def _find_r7(self):
+    def _build_r7(self, u):
         # Degree-2 vertex on a 4-cycle u-v-w-t. Either few vertices drop
         # out, or one dropped vertex s reaches back into N(v) at some r
         # clear of t, giving the induced pair {ut, rs}.
-        u = self._peek(self.r7, self._valid_r7)
-        if u is None:
-            return None
         v, t = sorted(self.adj[u])
         shared = sorted(
             w for w in self.adj[v] if w != u and w in self.adj[t]
@@ -792,7 +715,7 @@ class _Pool:
         x = self.adj[u] | self.adj[v]
         iso = self._isolated_by(x)
         if len(iso) <= 3:
-            return self._one_edge_step("R7", u, v, x, witness, iso=iso)
+            return _step("R7", ((u, v),), x)
         nt = self.adj[t]
         for s in iso:
             if s in nt:
@@ -801,59 +724,49 @@ class _Pool:
             for r in sorted(self.adj[v]):
                 if r == u or r in nt or r not in ns:
                     continue
-                matched = _norm_pairs(((u, t), (r, s)))
+                matched = ((u, t), (r, s))
                 if self._induced_ok(matched):
                     removed = x | set(iso) | nt | self.adj[r]
-                    return self._two_edge_step("R7", matched, removed, witness)
+                    return _step("R7", matched, removed)
         raise self.violation("R7", witness, "no pair clears the cycle")
 
     def _valid_r8(self, u):
         return u in self.adj and len(self.adj[u]) == 2
 
-    def _find_r8(self):
+    def _build_r8(self, u):
         # Any remaining degree-2 vertex; try both neighbor orientations.
         # Either the removal isolates little, or some dropped vertex s
         # reaches N(v) at t while missing w, giving {st, uw}.
-        u = self._peek(self.r8, self._valid_r8)
-        if u is None:
-            return None
         a, b = sorted(self.adj[u])
         for v, w in ((a, b), (b, a)):
             x = self.adj[u] | self.adj[v]
             iso = self._isolated_by(x)
             if len(iso) <= 3:
-                return self._one_edge_step("R8", u, v, x, (u, v), iso=iso)
+                return _step("R8", ((u, v),), x)
             nw = self.adj[w]
             for s in iso:
                 if s in nw:
                     continue
                 for t in sorted(self.adj[v] & self.adj[s]):
-                    matched = _norm_pairs(((s, t), (u, w)))
+                    matched = ((s, t), (u, w))
                     if self._induced_ok(matched):
                         removed = x | set(iso) | self.adj[t] | nw
-                        return self._two_edge_step(
-                            "R8", matched, removed, (u, v)
-                        )
+                        return _step("R8", matched, removed)
         raise self.violation("R8", u, "both orientations failed")
 
     def _valid_r9(self, entry):
         adj = self.adj
         return entry[0] in adj and entry[1] in adj and entry[2] in adj
 
-    def _find_r9(self):
+    def _build_r9(self, entry):
         # Triangle u < v < w: match uv unless too much drops out, in which
         # case a dropped vertex s pairs with a neighbor r on the side of the
         # triangle it avoids.
-        if not self._static_built:
-            self._build_static()
-        entry = self._peek(self.r9, self._valid_r9)
-        if entry is None:
-            return None
         u, v, w = entry
         x = self.adj[u] | self.adj[v]
         iso = self._isolated_by(x)
         if len(iso) <= 2:
-            return self._one_edge_step("R9", u, v, x, entry, iso=iso)
+            return _step("R9", ((u, v),), x)
         nu = self.adj[u]
         nv = self.adj[v]
         nw = self.adj[w]
@@ -868,11 +781,10 @@ class _Pool:
                 r_v = r in nv
                 if r_u == r_v:
                     continue
-                first = (v, w) if r_u else (u, w)
-                matched = _norm_pairs((first, (r, s)))
+                matched = ((v, w) if r_u else (u, w), (r, s))
                 if self._induced_ok(matched):
                     removed = x | set(iso) | nw | self.adj[r]
-                    return self._two_edge_step("R9", matched, removed, entry)
+                    return _step("R9", matched, removed)
         raise self.violation("R9", entry, "no pair leaves the triangle")
 
     def _valid_r10(self, u):
@@ -881,13 +793,10 @@ class _Pool:
             and self._has_cycle4_through(u)
         )
 
-    def _find_r10(self):
+    def _build_r10(self, u):
         # 4-cycle through a degree-3 vertex u, whose off-cycle neighbor v
         # pairs with it; if v has degree 4 and the removal isolates a lot,
         # fall back to the first induced pair inside the closed scope.
-        u = self._peek(self.r10, self._valid_r10)
-        if u is None:
-            return None
         nbrs = sorted(self.adj[u])
         best = None
         for i, p in enumerate(nbrs):
@@ -905,13 +814,13 @@ class _Pool:
         iso = self._isolated_by(x)
         dv = len(self.adj[v])
         if len(iso) <= 2:
-            return self._one_edge_step("R10", u, v, x, witness, iso=iso)
+            return _step("R10", ((u, v),), x)
         if dv == 3:
             if len(iso) > 3:
                 raise self.violation(
                     "R10", witness, f"isolates {len(iso)} beside a degree-3 partner"
                 )
-            return self._one_edge_step("R10", u, v, x, witness, iso=iso)
+            return _step("R10", ((u, v),), x)
         if dv != 4:
             raise self.violation("R10", witness, f"partner has degree {dv}")
         return self._scope_pair_step("R10", x, iso, witness)
@@ -920,19 +829,14 @@ class _Pool:
         adj = self.adj
         return all(x in adj for x in entry)
 
-    def _find_r11(self):
+    def _build_r11(self, entry):
         # Any remaining 4-cycle (a, b, c, d): match the edge ab, or fall
         # back to the first induced pair inside the closed scope.
-        if not self._static_built:
-            self._build_static()
-        entry = self._peek(self.r11, self._valid_r11)
-        if entry is None:
-            return None
         a, b, _, _ = entry
         x = self.adj[a] | self.adj[b]
         iso = self._isolated_by(x)
         if len(iso) <= 1:
-            return self._one_edge_step("R11", a, b, x, entry, iso=iso)
+            return _step("R11", ((a, b),), x)
         for s in iso:
             if len(self.adj[s]) != 4:
                 raise self.violation(
@@ -957,19 +861,14 @@ class _Pool:
             raise self.violation(
                 rule, witness, f"{len(second_ring)} vertices beyond the scope"
             )
-        return self._two_edge_step(rule, _norm_pairs(pair), removed, witness)
+        return _step(rule, pair, removed)
 
     def _valid_r12(self, entry):
         return entry[0] in self.adj and entry[1] in self.adj
 
-    def _find_r12(self):
+    def _build_r12(self, entry):
         # Base step: minimum degree 3 and girth 5 or more by now, so
         # deleting any edge's two neighborhoods isolates nothing.
-        if not self._static_built:
-            self._build_static()
-        entry = self._peek(self.r12, self._valid_r12)
-        if entry is None:
-            return None
         u, v = entry
         x = self.adj[u] | self.adj[v]
         iso = self._isolated_by(x)
@@ -977,4 +876,4 @@ class _Pool:
             raise self.violation(
                 "R12", entry, f"base step isolates {len(iso)} vertices"
             )
-        return self._one_edge_step("R12", u, v, x, entry, iso=iso)
+        return _step("R12", (entry,), x)

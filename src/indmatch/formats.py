@@ -139,8 +139,7 @@ def format_certificate(result):
 
 
 def parse_certificate_text(text):
-    """Certificate text -> (Certificate, matching). Metrics are not stored
-    in the format, so replayed steps carry empty metrics."""
+    """Certificate text -> (Certificate, matching)."""
     steps = []
     matching = None
     for lineno, line in _content_lines(text):

@@ -1,15 +1,13 @@
 """Simple undirected graphs and the structural queries the engine needs.
 
-Vertices are arbitrary non-negative integers. Derived graphs (after vertex
-removal) keep the original ids, so a log of removals written against the
-input graph stays meaningful at every intermediate stage.
+Vertices are arbitrary non-negative integers. Induced subgraphs keep the
+original ids, so a log of removals written against the input graph stays
+meaningful at every intermediate stage.
 
-Everything here is deterministic: queries that report a witness report the
-lexicographically smallest one, and iteration orders are pinned by sorting.
+Everything here is deterministic: iteration orders are pinned by sorting.
 """
 
 from collections import deque
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import (
@@ -24,7 +22,7 @@ class Graph:
     """Immutable simple graph backed by adjacency sets.
 
     Build instances with :func:`build_graph`, or derive them from an existing
-    graph with :meth:`remove_vertices` / :meth:`subgraph`.
+    graph with :meth:`subgraph`.
     """
 
     __slots__ = ("_adj", "_m")
@@ -96,9 +94,6 @@ class Graph:
             raise UnknownVertexError(f"no vertex {v}")
         return v in self._adj[u]
 
-    def min_degree(self):
-        return min((len(s) for s in self._adj.values()), default=0)
-
     def max_degree(self):
         return max((len(s) for s in self._adj.values()), default=0)
 
@@ -146,22 +141,6 @@ class Graph:
                     queue.append(y)
         return len(seen) == self.n
 
-    def remove_vertices(self, xs):
-        """Induced subgraph on V minus xs; every x must be a vertex."""
-        dead = set(xs)
-        for x in dead:
-            if x not in self._adj:
-                raise UnknownVertexError(f"no vertex {x}")
-        adj = {}
-        m = 0
-        for v, nbrs in self._adj.items():
-            if v in dead:
-                continue
-            kept = nbrs - dead
-            adj[v] = kept if len(kept) == len(nbrs) else frozenset(kept)
-            m += len(adj[v])
-        return Graph._trusted(adj, m // 2)
-
     def subgraph(self, keep):
         """Induced subgraph on the given vertices; every id must exist."""
         kept = set(keep)
@@ -197,158 +176,6 @@ def build_graph(n, edges):
     frozen = {v: frozenset(s) for v, s in adj.items()}
     m = sum(len(s) for s in frozen.values()) // 2
     return Graph._trusted(frozen, m)
-
-
-def d_out(g, xs):
-    """Number of edges with exactly one endpoint in xs."""
-    inside = set(xs)
-    for x in inside:
-        if x not in g:
-            raise UnknownVertexError(f"no vertex {x}")
-    count = 0
-    for x in inside:
-        for y in g.neighbors(x):
-            if y not in inside:
-                count += 1
-    return count
-
-
-@dataclass(frozen=True)
-class IsolatedProfile:
-    """Vertices that removing a set would isolate, grouped by prior degree.
-
-    `members` lists, in increasing order, the vertices outside the removed set
-    whose neighbors all lie inside it; i1..i4 count them by their degree in
-    the host graph. Vertices that were already isolated are not profiled, so
-    total == i1 + i2 + i3 + i4 always holds.
-    """
-
-    members: tuple
-    i1: int
-    i2: int
-    i3: int
-    i4: int
-
-    @property
-    def total(self):
-        return len(self.members)
-
-
-def isolated_profile(g, xs):
-    """Profile of the vertices isolated by deleting xs from g."""
-    inside = set(xs)
-    for x in inside:
-        if x not in g:
-            raise UnknownVertexError(f"no vertex {x}")
-    adj = g.adjacency
-    hit = set()
-    for x in inside:
-        for y in adj[x]:
-            if y not in inside:
-                hit.add(y)
-    members = []
-    counts = [0, 0, 0, 0, 0]
-    for y in sorted(hit):
-        nbrs = adj[y]
-        if nbrs <= inside:
-            members.append(y)
-            d = len(nbrs)
-            if d > 4:
-                raise UnknownVertexError(
-                    f"vertex {y} has degree {d}; profile only covers degree <= 4"
-                )
-            counts[d] += 1
-    return IsolatedProfile(tuple(members), counts[1], counts[2], counts[3], counts[4])
-
-
-@dataclass(frozen=True)
-class ShortCycleReport:
-    """Shortest cycle of length at most four, if one exists.
-
-    kind is 'triangle', 'four_cycle', or 'none'. The witness is the
-    lexicographically smallest vertex tuple of that length: (u, v, w) with
-    u < v < w for triangles; for 4-cycles (a, b, c, d) walks the cycle with
-    a the smallest vertex, b its smaller cycle-neighbor, and c opposite a.
-    """
-
-    kind: str
-    witness: tuple | None
-
-
-def short_cycle(g):
-    """Find a triangle, else a 4-cycle, else report none."""
-    adj = g.adjacency
-    order = sorted(adj)
-    best3 = None
-    for u in order:
-        nbrs = sorted(adj[u])
-        for i, v in enumerate(nbrs):
-            if v < u:
-                continue
-            for w in nbrs[i + 1 :]:
-                if w in adj[v]:
-                    cand = (u, v, w)
-                    if best3 is None or cand < best3:
-                        best3 = cand
-                    break
-            if best3 is not None and best3[0] == u:
-                break
-        if best3 is not None:
-            # Triangles are canonical by sorted vertices, so the first vertex
-            # in scan order that closes one gives the lexicographic minimum.
-            return ShortCycleReport("triangle", best3)
-    best4 = None
-    seen_pairs = {}
-    for b in order:
-        nbrs = sorted(adj[b])
-        for i, p in enumerate(nbrs):
-            for q in nbrs[i + 1 :]:
-                others = seen_pairs.get((p, q))
-                if others is not None:
-                    for a in others:
-                        cycle = _canonical_four_cycle(a, b, p, q)
-                        if best4 is None or cycle < best4:
-                            best4 = cycle
-                seen_pairs.setdefault((p, q), []).append(b)
-    if best4 is not None:
-        return ShortCycleReport("four_cycle", best4)
-    return ShortCycleReport("none", None)
-
-
-def _canonical_four_cycle(x, y, p, q):
-    # Cycle x-p-y-q with diagonals {x,y} and {p,q}. Canonical walk starts at
-    # the smallest vertex, steps to its smaller neighbor on the cycle, and
-    # places the opposite vertex third.
-    a = min(x, y, p, q)
-    if a in (x, y):
-        c = y if a == x else x
-        b, d = min(p, q), max(p, q)
-    else:
-        c = q if a == p else p
-        b, d = min(x, y), max(x, y)
-    return (a, b, c, d)
-
-
-def bfs_distance(g, s, t):
-    """Length of a shortest s-t path, or None if t is unreachable."""
-    if s not in g:
-        raise UnknownVertexError(f"no vertex {s}")
-    if t not in g:
-        raise UnknownVertexError(f"no vertex {t}")
-    if s == t:
-        return 0
-    adj = g.adjacency
-    dist = {s: 0}
-    queue = deque((s,))
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                if y == t:
-                    return dist[y]
-                queue.append(y)
-    return None
 
 
 def is_induced_matching(g, pairs):

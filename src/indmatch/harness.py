@@ -159,6 +159,9 @@ def verify_certificate(g, result):
 def _exact_step_problems(cur, step):
     rset = set(step.removed)
     problems = []
+    if not rset:
+        problems.append("exact step removes no vertices")
+        return problems
     leaks = sorted(
         y for x in rset for y in cur[x] if y not in rset
     )
@@ -253,9 +256,9 @@ class FuzzReport:
 def fuzz(config):
     """Solve and verify random instances; returns the report, raises nothing.
 
-    Every library exception inside a trial is recorded as a failure of that
-    trial, so a run surveys the whole configured space even if one instance
-    misbehaves.
+    Every exception inside a trial, from solve or from the checks that
+    follow it, is recorded as a failure of that trial, so a run surveys the
+    whole configured space even if one instance misbehaves.
     """
     from .engine import solve
 
@@ -286,30 +289,30 @@ def fuzz(config):
             )
 
         started = perf_counter()
+        stage = "solve"
         try:
             result = solve(g)
-        except Exception as exc:  # any library error here is a finding
-            fail(f"solve raised {type(exc).__name__}", (str(exc),))
-            max_seconds = max(max_seconds, perf_counter() - started)
-            continue
-        solution = verify_solution(g, result.matching)
-        if not solution.ok:
-            fail("solution check failed", solution.details)
-        certificate = verify_certificate(g, result)
-        if not certificate.ok:
-            fail("certificate check failed", certificate.details)
-        if n <= config.cross_check_max_n:
-            best = max_induced_matching(g)
-            if len(result.matching) > len(best):
-                fail(
-                    "matching exceeds the optimum",
-                    (f"{len(result.matching)} > {len(best)}",),
-                )
-            isolated = sum(1 for v in g.vertices() if g.degree(v) == 0)
-            if 9 * len(best) < g.n - isolated:
-                fail(
-                    "optimum below the guarantee",
-                    (f"9*{len(best)} < {g.n} - {isolated}",),
-                )
+            stage = "check"
+            solution = verify_solution(g, result.matching)
+            if not solution.ok:
+                fail("solution check failed", solution.details)
+            certificate = verify_certificate(g, result)
+            if not certificate.ok:
+                fail("certificate check failed", certificate.details)
+            if n <= config.cross_check_max_n:
+                best = max_induced_matching(g)
+                if len(result.matching) > len(best):
+                    fail(
+                        "matching exceeds the optimum",
+                        (f"{len(result.matching)} > {len(best)}",),
+                    )
+                isolated = sum(1 for v in g.vertices() if g.degree(v) == 0)
+                if 9 * len(best) < g.n - isolated:
+                    fail(
+                        "optimum below the guarantee",
+                        (f"9*{len(best)} < {g.n} - {isolated}",),
+                    )
+        except Exception as exc:  # any error here is a finding
+            fail(f"{stage} raised {type(exc).__name__}", (str(exc),))
         max_seconds = max(max_seconds, perf_counter() - started)
     return FuzzReport(config.trials, skipped, tuple(failures), max_seconds)

@@ -93,6 +93,19 @@ def girth(adjacency):
     return best
 
 
+def reachable(adjacency, start):
+    """Every vertex joined to start by a path, start included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in adjacency[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
 def is_induced_matching_ref(adjacency, pairs):
     """Direct transcription of the induced-matching definition."""
     used = set()

@@ -2,6 +2,7 @@ import pytest
 
 from indmatch import (
     C25ComponentError,
+    InvariantViolationError,
     MaxDegreeExceededError,
     RandomGraphConfig,
     ReductionStep,
@@ -16,9 +17,11 @@ from indmatch import (
     is_induced_matching,
     max_induced_matching,
     next_reduction,
+    parse_graph_text,
     solve,
     validate_step,
 )
+from indmatch import engine
 
 import _oracles
 
@@ -48,9 +51,6 @@ def test_first_step_path():
     assert step.rule == "R1"
     assert step.matched == ((0, 1),)
     assert step.removed == (0, 1, 2)
-    assert step.metrics["removed_size"] == 3
-    assert step.metrics["isolated_after"] == 0
-    assert step.metrics["edges_out"] == 1
 
 
 def test_first_step_cycle():
@@ -253,6 +253,19 @@ def test_solve_certificate_structure():
         assert len(removed_all) == len(set(removed_all))
         assert set(removed_all) <= set(g.vertices())
         assert sorted(matched_all) == list(result.matching)
+
+
+@pytest.mark.parametrize("removed", [(0, 1), tuple(range(11)) + (19,)])
+def test_solve_refuses_an_invalid_rule_step(monkeypatch, removed):
+    # The first removal leaves 0's and 1's other neighbors standing, the
+    # second deletes 12 vertices for one edge; both must stop the solve.
+    bad = ReductionStep("R5", ((0, 1),), removed)
+    monkeypatch.setattr(engine._Pool, "find_step", lambda pool: bad)
+    with pytest.raises(InvariantViolationError) as info:
+        solve(gen_cycle(20))
+    assert info.value.rule == "R5"
+    assert info.value.witness == ((0, 1),)
+    assert parse_graph_text(info.value.graph_text).n == 20
 
 
 def test_solve_exact_on_small_components():

@@ -110,8 +110,8 @@ def test_monotone_under_vertex_deletion():
             RandomGraphConfig(n=n, extra_edge_attempts=n, seed=prng.next_u64())
         )
         whole = len(max_induced_matching(g))
-        drop = {v for v in g.vertices() if prng.below(3) == 0}
-        sub = g.remove_vertices(drop)
+        keep = {v for v in g.vertices() if prng.below(3) != 0}
+        sub = g.subgraph(keep)
         assert len(max_induced_matching(sub)) <= whole
 
 

@@ -7,17 +7,13 @@ from indmatch import (
     SelfLoopError,
     SplitMix64,
     UnknownVertexError,
-    bfs_distance,
     build_graph,
-    d_out,
     gen_c25,
     gen_path,
     gen_random_maxdeg4,
     gen_tight9,
     is_induced_matching,
     is_isomorphic_c25,
-    isolated_profile,
-    short_cycle,
 )
 from indmatch.generators import RandomGraphConfig
 
@@ -36,7 +32,7 @@ def test_build_graph_basics():
     assert tri.edges() == [(0, 1), (0, 2), (1, 2)]
     empty = build_graph(0, [])
     assert empty.n == 0 and empty.m == 0
-    assert empty.min_degree() == 0 and empty.max_degree() == 0
+    assert empty.max_degree() == 0
 
 
 def test_build_graph_rejects_bad_edges():
@@ -75,7 +71,7 @@ def test_degree_and_neighbors():
     assert g.degree(1) == 2
     assert g.neighbors(1) == {0, 2}
     assert g.has_edge(0, 1) and not g.has_edge(0, 2)
-    assert g.min_degree() == 1 and g.max_degree() == 2
+    assert g.max_degree() == 2
     for call in (lambda: g.degree(9), lambda: g.neighbors(9),
                  lambda: g.has_edge(0, 9)):
         with pytest.raises(UnknownVertexError):
@@ -104,30 +100,12 @@ def test_components_agree_with_reachability():
             RandomGraphConfig(n=n, extra_edge_attempts=n, seed=prng.next_u64())
         )
         # random graphs are connected; punch them apart
-        g = g.remove_vertices([v for v in g.vertices() if prng.below(4) == 0])
+        g = g.subgraph([v for v in g.vertices() if prng.below(4) != 0])
         comps = g.components()
         assert sorted(v for comp in comps for v in comp) == list(g.vertices())
-        index = {v: i for i, comp in enumerate(comps) for v in comp}
-        verts = g.vertices()
-        for i, u in enumerate(verts):
-            for v in verts[i + 1 :]:
-                reachable = bfs_distance(g, u, v) is not None
-                assert reachable == (index[u] == index[v])
-
-
-def test_remove_vertices():
-    tri = build_graph(3, [(0, 1), (1, 2), (2, 0)])
-    cut = tri.remove_vertices({0})
-    assert cut.vertices() == (1, 2) and cut.edges() == [(1, 2)]
-    same = tri.remove_vertices(set())
-    assert same.edges() == tri.edges() and same.n == tri.n
-    p = path(4)
-    cut = p.remove_vertices({1})
-    assert cut.vertices() == (0, 2, 3)
-    assert cut.edges() == [(2, 3)]
-    assert cut.degree(0) == 0
-    with pytest.raises(UnknownVertexError):
-        p.remove_vertices({7})
+        adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+        for comp in comps:
+            assert _oracles.reachable(adj, comp[0]) == set(comp)
 
 
 def test_subgraph():
@@ -137,123 +115,6 @@ def test_subgraph():
     assert sub.edges() == [(1, 2)]
     with pytest.raises(UnknownVertexError):
         p.subgraph({0, 9})
-
-
-def test_d_out():
-    c25 = gen_c25()
-    assert d_out(c25, {0}) == 4
-    assert d_out(c25, set(c25.vertices())) == 0
-    assert d_out(path(4), {1, 2}) == 2
-    assert d_out(path(4), set()) == 0
-    with pytest.raises(UnknownVertexError):
-        d_out(path(3), {5})
-
-
-def test_isolated_profile_examples():
-    prof = isolated_profile(path(3), {1})
-    assert prof.members == (0, 2)
-    assert (prof.i1, prof.i2, prof.i3, prof.i4) == (2, 0, 0, 0)
-    assert prof.total == 2
-
-    star = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    prof = isolated_profile(star, {0})
-    assert prof.i1 == 4
-    assert d_out(star, {0} | set(prof.members)) == d_out(star, {0}) - 4
-
-    # already-isolated vertices are never profiled, only newly isolated ones
-    lonely = build_graph(3, [(0, 1)])
-    assert isolated_profile(lonely, set()).members == ()
-    assert isolated_profile(lonely, {0}).members == (1,)
-    with pytest.raises(UnknownVertexError):
-        isolated_profile(lonely, {9})
-
-
-def test_isolated_profile_counting_identities():
-    # deleting x costs d_out(x) boundary edges; the isolated ones account for
-    # exactly their degree each, so the two counting identities below hold
-    prng = SplitMix64(99)
-    for _ in range(40):
-        n = 3 + prng.below(14)
-        g = gen_random_maxdeg4(
-            RandomGraphConfig(n=n, extra_edge_attempts=2 * n, seed=prng.next_u64())
-        )
-        xs = {v for v in g.vertices() if prng.below(3) == 0}
-        prof = isolated_profile(g, xs)
-        weighted = prof.i1 + 2 * prof.i2 + 3 * prof.i3 + 4 * prof.i4
-        assert prof.total == prof.i1 + prof.i2 + prof.i3 + prof.i4
-        assert d_out(g, xs) >= weighted
-        assert d_out(g, xs | set(prof.members)) == d_out(g, xs) - weighted
-        for y in prof.members:
-            assert g.neighbors(y) <= xs and g.neighbors(y)
-
-
-def test_short_cycle_named_cases():
-    tri = build_graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
-    rep = short_cycle(tri)
-    assert rep.kind == "triangle" and rep.witness == (0, 1, 2)
-
-    c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    rep = short_cycle(c4)
-    assert rep.kind == "four_cycle" and rep.witness == (0, 1, 2, 3)
-
-    petersen = build_graph(
-        10,
-        [(i, (i + 1) % 5) for i in range(5)]
-        + [(i, i + 5) for i in range(5)]
-        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
-    )
-    assert short_cycle(petersen).kind == "none"
-    assert _oracles.girth({v: set(petersen.neighbors(v)) for v in petersen.vertices()}) == 5
-
-    assert short_cycle(path(6)).kind == "none"
-    assert short_cycle(build_graph(0, [])).kind == "none"
-
-
-def test_short_cycle_prefers_smallest_triangle():
-    # triangle (2,3,4) and (0,5,6) both exist; the lexicographically
-    # smaller witness wins even though vertex 2's triangle closes "sooner"
-    g = build_graph(
-        7, [(2, 3), (3, 4), (4, 2), (0, 5), (5, 6), (6, 0), (1, 2)]
-    )
-    assert short_cycle(g).witness == (0, 5, 6)
-
-
-def test_short_cycle_agrees_with_girth_oracle():
-    prng = SplitMix64(2024)
-    for _ in range(60):
-        n = 3 + prng.below(14)
-        g = gen_random_maxdeg4(
-            RandomGraphConfig(n=n, extra_edge_attempts=3 * n, seed=prng.next_u64())
-        )
-        rep = short_cycle(g)
-        adj = {v: set(g.neighbors(v)) for v in g.vertices()}
-        girth = _oracles.girth(adj)
-        if girth == 3:
-            assert rep.kind == "triangle"
-            u, v, w = rep.witness
-            assert u < v < w
-            assert g.has_edge(u, v) and g.has_edge(v, w) and g.has_edge(u, w)
-        elif girth == 4:
-            assert rep.kind == "four_cycle"
-            a, b, c, d = rep.witness
-            assert len({a, b, c, d}) == 4
-            assert a == min(a, b, c, d) and b < d
-            for x, y in ((a, b), (b, c), (c, d), (d, a)):
-                assert g.has_edge(x, y)
-            assert not g.has_edge(a, c) and not g.has_edge(b, d)
-        else:
-            assert rep.kind == "none" and rep.witness is None
-
-
-def test_bfs_distance():
-    c5 = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert bfs_distance(c5, 0, 2) == 2
-    assert bfs_distance(c5, 0, 0) == 0
-    two = build_graph(4, [(0, 1), (2, 3)])
-    assert bfs_distance(two, 0, 3) is None
-    assert bfs_distance(path(6), 0, 5) == 5
-    with pytest.raises(UnknownVertexError):
-        bfs_distance(c5, 0, 11)
 
 
 def test_is_induced_matching():

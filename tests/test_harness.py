@@ -172,6 +172,15 @@ def test_verify_certificate_catches_disconnected_exact():
     assert any("not connected" in d for d in report.details)
 
 
+def test_verify_certificate_catches_empty_exact():
+    g = gen_path(4)
+    fake = SolveResult((), Certificate((ReductionStep("EXACT", (), ()),)), 4, 0)
+    report = verify_certificate(g, fake)
+    assert not report.induced_ok
+    assert "step 1 exact step removes no vertices" in report.details
+    assert any("never processed" in d for d in report.details)
+
+
 def test_verify_certificate_catches_unknown_rule():
     g = gen_path(20)
     result = solve(g)
@@ -224,3 +233,18 @@ def test_fuzz_trial_seeds_are_isolated():
     b = fuzz(FuzzConfig(trials=5, n_min=2, n_max=30, seed=11))
     assert a.ok and b.ok
     assert a.skipped_c25 == 0 and b.skipped_c25 == 0
+
+
+def test_fuzz_records_a_check_that_raises(monkeypatch):
+    def broken(g, result):
+        raise RuntimeError("replay crashed")
+
+    monkeypatch.setattr("indmatch.harness.verify_certificate", broken)
+    report = fuzz(FuzzConfig(trials=1, n_min=20, n_max=20, seed=3))
+    assert not report.ok
+    (failure,) = report.failures
+    assert failure.kind == "check raised RuntimeError"
+    assert failure.details == ("replay crashed",)
+    assert report.summary_lines()[2:] == [
+        "failures 1", f"trial 0 seed {failure.seed} check raised RuntimeError",
+    ]
