@@ -2,10 +2,19 @@
 
 Two edges conflict when they share an endpoint or some edge of the graph
 joins them; an induced matching is exactly an independent set in the
-conflict graph. The search is deterministic: nodes are the edges in sorted
-order, branching always picks the most-conflicted remaining node (ties to
-the smallest index) and tries inclusion first, so equal-size optima resolve
-the same way on every run.
+conflict graph. The conflict graph is kept as bitmasks over the edges in
+sorted order: with at[v] the bits of the edges at v and near[x] the bits at
+x or at any neighbour of x, edge i = (a, b) conflicts with near[a] | near[b]
+less its own bit. build_conflict_graph decodes the same masks into index
+lists.
+
+The search is fixed, so equal-size optima resolve the same way on every run:
+a greedy first-fit incumbent, then a depth-first search that branches on the
+most-conflicted remaining node (ties to the smallest index), tries inclusion
+first, and prunes a node when its size plus a greedy clique-cover bound
+cannot beat the incumbent. Every node taken off the stack, leaf or pruned,
+counts once against max_nodes, so a budget names the same search tree on
+every run.
 
 Intended for small graphs (components up to a few dozen edges); the node
 budget guards against larger accidental inputs.
@@ -29,23 +38,46 @@ class ConflictGraph:
     conflicts: tuple
 
 
-def build_conflict_graph(g):
-    nodes = tuple(g.edges())
-    at = {v: [] for v in g.vertices()}
-    for i, (a, b) in enumerate(nodes):
-        at[a].append(i)
-        at[b].append(i)
+def _conflict_masks(g):
+    """(nodes, conf): the sorted edges of g, and per edge the bitmask of the
+    edges it conflicts with (bit j is nodes[j])."""
+    nodes = g.edges()
     adj = g.adjacency
-    conflicts = []
-    for i, (a, b) in enumerate(nodes):
-        reach = set(at[a])
-        reach.update(at[b])
-        for x in (a, b):
-            for y in adj[x]:
-                reach.update(at[y])
-        reach.discard(i)
-        conflicts.append(tuple(sorted(reach)))
-    return ConflictGraph(nodes, tuple(conflicts))
+    at = dict.fromkeys(adj, 0)
+    bit = 1
+    for a, b in nodes:
+        at[a] |= bit
+        at[b] |= bit
+        bit <<= 1
+    near = {}
+    for x, nbrs in adj.items():
+        mask = at[x]
+        for y in nbrs:
+            mask |= at[y]
+        near[x] = mask
+    conf = []
+    bit = 1
+    for a, b in nodes:
+        conf.append((near[a] | near[b]) & ~bit)
+        bit <<= 1
+    return nodes, conf
+
+
+def _indices(mask):
+    """The set bits of mask as ascending indices."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def build_conflict_graph(g):
+    nodes, conf = _conflict_masks(g)
+    return ConflictGraph(
+        tuple(nodes), tuple(tuple(_indices(mask)) for mask in conf)
+    )
 
 
 def max_induced_matching(g, max_nodes=0):
@@ -53,19 +85,14 @@ def max_induced_matching(g, max_nodes=0):
 
     max_nodes caps the number of search-tree nodes visited (0 = unlimited);
     exceeding it raises BudgetExceededError rather than returning a
-    sub-optimal answer.
+    sub-optimal answer. A negative max_nodes raises ValueError.
     """
-    cg = build_conflict_graph(g)
-    k = len(cg.nodes)
-    if k == 0:
+    if max_nodes < 0:
+        raise ValueError(f"max_nodes must be at least 0, got {max_nodes}")
+    nodes, conf = _conflict_masks(g)
+    if not nodes:
         return ()
-    conf = [0] * k
-    for i, cs in enumerate(cg.conflicts):
-        mask = 0
-        for j in cs:
-            mask |= 1 << j
-        conf[i] = mask
-    full = (1 << k) - 1
+    full = (1 << len(nodes)) - 1
 
     # Greedy first-fit seed: a decent incumbent makes the cover bound bite
     # from the start.
@@ -78,29 +105,14 @@ def max_induced_matching(g, max_nodes=0):
     best_size = best_set.bit_count()
 
     visited = 0
-
-    def cover_bound(mask):
-        # Greedy clique cover of the remaining conflict nodes; an induced
-        # matching takes at most one node per conflict clique.
-        count = 0
-        while mask:
-            low = mask & -mask
-            clique = low
-            cand = conf[low.bit_length() - 1] & mask & ~low
-            while cand:
-                u = cand & -cand
-                clique |= u
-                cand &= conf[u.bit_length() - 1]
-            mask &= ~clique
-            count += 1
-        return count
-
     # Explicit stack, include-branch explored first; an explicit stack keeps
     # deep exclude-chains on big inputs from tripping the interpreter's
     # recursion limit before the budget can fire.
     stack = [(full, 0, 0)]
+    pop = stack.pop
+    push = stack.append
     while stack:
-        mask, chosen, size = stack.pop()
+        mask, chosen, size = pop()
         visited += 1
         if max_nodes and visited > max_nodes:
             raise BudgetExceededError(visited, max_nodes)
@@ -109,7 +121,21 @@ def max_induced_matching(g, max_nodes=0):
                 best_size = size
                 best_set = chosen
             continue
-        if size + cover_bound(mask) <= best_size:
+        # Greedy clique cover of the remaining conflict nodes; an induced
+        # matching takes at most one node per conflict clique.
+        bound = size
+        rest = mask
+        while rest:
+            low = rest & -rest
+            clique = low
+            cand = conf[low.bit_length() - 1] & rest
+            while cand:
+                u = cand & -cand
+                clique |= u
+                cand &= conf[u.bit_length() - 1]
+            rest ^= clique
+            bound += 1
+        if bound <= best_size:
             continue
         pick = -1
         pick_deg = -1
@@ -121,15 +147,9 @@ def max_induced_matching(g, max_nodes=0):
             if deg > pick_deg:
                 pick_deg = deg
                 pick = i
-            rest &= ~low
+            rest ^= low
         bit = 1 << pick
-        stack.append((mask & ~bit, chosen, size))
-        stack.append((mask & ~(bit | conf[pick]), chosen | bit, size + 1))
-    out = []
-    rest = best_set
-    while rest:
-        low = rest & -rest
-        out.append(cg.nodes[low.bit_length() - 1])
-        rest &= ~low
-    out.sort()
-    return tuple(out)
+        push((mask ^ bit, chosen, size))
+        push((mask & ~(bit | conf[pick]), chosen | bit, size + 1))
+    # nodes are sorted, so ascending indices give a sorted matching.
+    return tuple(nodes[i] for i in _indices(best_set))

@@ -126,6 +126,7 @@ def test_exact_command(tmp_path):
     assert _run(["gen", "--family", "random", "--n", "60", "--seed", "1",
                  "--out", str(big)])[0] == 0
     assert _run(["exact", str(big), "--budget", "1"])[0] == 7
+    assert _run(["exact", str(graph), "--budget", "-3"])[0] == 4
 
 
 def test_verify_detects_bad_matching(tmp_path):

@@ -129,6 +129,66 @@ def test_budget():
     )
 
 
+def test_negative_budget_is_rejected():
+    with pytest.raises(ValueError, match="max_nodes"):
+        max_induced_matching(gen_path(6), max_nodes=-3)
+
+
+# (n, nodes visited, optimum returned) for gen_random_maxdeg4 with 4n
+# extra-edge attempts and seed n, the density of the benchmark's components.
+_PINNED_RANDOM = [
+    (11, 15, ((0, 1), (4, 5))),
+    (13, 9, ((2, 5), (3, 9), (10, 11))),
+    (16, 25, ((0, 9), (5, 6), (7, 15), (10, 12))),
+    (18, 69, ((0, 5), (4, 8), (6, 9), (13, 15))),
+    (21, 119, ((1, 18), (2, 14), (6, 15), (8, 10), (9, 12))),
+    (24, 275, ((1, 2), (4, 6), (12, 13), (15, 16), (17, 22))),
+    (26, 127, ((0, 6), (2, 13), (4, 24), (10, 12), (14, 18), (16, 19))),
+    (29, 313, ((0, 12), (3, 4), (8, 26), (9, 14), (13, 15), (18, 28),
+               (21, 25))),
+    (32, 517, ((0, 12), (2, 3), (4, 6), (9, 31), (13, 24), (14, 23), (15, 25),
+               (20, 28))),
+    (34, 273, ((0, 7), (3, 19), (4, 30), (5, 14), (9, 23), (11, 25), (16, 29),
+               (20, 26), (32, 33))),
+    (37, 1301, ((1, 7), (3, 30), (5, 8), (9, 13), (14, 32), (22, 26), (25, 35),
+                (27, 36), (29, 31))),
+    (40, 1129, ((2, 3), (4, 31), (8, 39), (9, 20), (10, 36), (12, 22),
+                (13, 15), (18, 24), (25, 26), (27, 35))),
+]
+
+
+def test_search_tree_is_pinned():
+    # The optimum chosen among equal-size ones and the number of search
+    # nodes are part of the contract: certificates embed the former and
+    # max_nodes budgets count the latter.
+    cases = [
+        (
+            gen_random_maxdeg4(
+                RandomGraphConfig(n=n, extra_edge_attempts=4 * n, seed=n)
+            ),
+            visited,
+            want,
+        )
+        for n, visited, want in _PINNED_RANDOM
+    ]
+    petersen = build_graph(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+    )
+    cases.append((petersen, 1, ((0, 1), (3, 8), (7, 9))))
+    cases.append((gen_tight9(), 1, ((0, 1),)))
+    for g, visited, want in cases:
+        assert max_induced_matching(g, max_nodes=visited) == want
+        if visited > 1:  # max_nodes=0 means unlimited
+            with pytest.raises(BudgetExceededError) as info:
+                max_induced_matching(g, max_nodes=visited - 1)
+            assert info.value.visited == visited
+        if g.m <= 16:
+            assert len(want) == _oracles.nu_s(g)
+
+
 def test_deterministic_output():
     g = gen_random_maxdeg4(RandomGraphConfig(n=16, extra_edge_attempts=32, seed=9))
     assert max_induced_matching(g) == max_induced_matching(g)

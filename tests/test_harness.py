@@ -17,6 +17,7 @@ from indmatch import (
     verify_certificate,
     verify_solution,
 )
+from indmatch import harness
 
 
 def test_verify_solution_accepts_good_matching():
@@ -189,6 +190,39 @@ def test_verify_certificate_catches_unknown_rule():
     bad = _tampered(result, certificate=Certificate((renamed, second)))
     report = verify_certificate(g, bad)
     assert any("unknown rule R0" in d for d in report.details)
+
+
+def test_verify_certificate_refuses_an_oversized_exact():
+    g = gen_path(70)
+    optimum = tuple((3 * i, 3 * i + 1) for i in range(23))
+    forged = SolveResult(
+        optimum,
+        Certificate((ReductionStep("EXACT", optimum, tuple(range(70))),)),
+        70,
+        0,
+    )
+    report = verify_certificate(g, forged)
+    assert not report.induced_ok
+    assert report.details == (
+        "step 1 exact component of 70 vertices is too large to re-check",
+    )
+
+
+def test_verify_certificate_reports_an_exhausted_recheck(monkeypatch):
+    # The exact search on this component visits 69 nodes; a budget of one
+    # stops it after two.
+    g = gen_random_maxdeg4(
+        RandomGraphConfig(n=18, extra_edge_attempts=72, seed=18)
+    )
+    result = solve(g)
+    assert [s.rule for s in result.certificate.steps] == ["EXACT"]
+    assert verify_certificate(g, result).ok
+    monkeypatch.setattr(harness, "_RECHECK_BUDGET", 1)
+    report = verify_certificate(g, result)
+    assert not report.induced_ok
+    assert report.details == (
+        "step 1 exact component re-check ran out of search budget",
+    )
 
 
 def test_fuzz_config_validation():
