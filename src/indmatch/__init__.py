@@ -16,10 +16,8 @@ from .engine import (
     Certificate,
     ReductionStep,
     SolveResult,
-    find_induced_2matching_within,
     next_reduction,
     solve,
-    validate_step,
 )
 from .errors import (
     BudgetExceededError,
@@ -81,10 +79,8 @@ __all__ = [
     "Certificate",
     "ReductionStep",
     "SolveResult",
-    "find_induced_2matching_within",
     "next_reduction",
     "solve",
-    "validate_step",
     "BudgetExceededError",
     "C25ComponentError",
     "DuplicateEdgeError",

@@ -109,13 +109,6 @@ def solve(g, exact_threshold=EXACT_THRESHOLD):
             survivors = pool.apply(set(step.removed))
             steps.append(step)
             for comp in pool.split_small(survivors, exact_threshold):
-                if len(comp) == 10:
-                    ten = Graph({v: frozenset(pool.adj[v]) for v in comp})
-                    if is_isomorphic_c25(ten):
-                        raise pool.violation(
-                            "EXACT", tuple(comp),
-                            "excluded 10-vertex component arose mid-reduction",
-                        )
                 estep = _exact_step(pool.adj, comp)
                 pool.check(estep, tuple(comp))
                 pool.apply(set(comp))
@@ -151,33 +144,12 @@ def next_reduction(g, exact_threshold=EXACT_THRESHOLD):
             f"graph has {g.n} <= {exact_threshold} vertices;"
             " it belongs to the exact solver"
         )
-    if not g.is_connected():
+    if len(g.components()) != 1:
         raise ValueError("graph is not connected")
     pool = _Pool({v: set(g.neighbors(v)) for v in g.vertices()})
     step = pool.find_step()
     pool.check(step, step.matched)
     return step
-
-
-def validate_step(g, step):
-    """Problems with applying the step to g; an empty list means valid.
-
-    Valid means: the matched pairs form an induced matching of g, every
-    neighbor of a matched endpoint is removed, and the removal is paid for,
-    i.e. nine slots per matched edge cover the removed vertices plus every
-    vertex the removal isolates.
-    """
-    return [m for _, m in _step_violations(g.adjacency, step.matched, step.removed)]
-
-
-def find_induced_2matching_within(g, vertices):
-    """Lexicographically first pair of g-edges inside the given vertex set
-    that forms an induced matching of g, or None."""
-    scope = set(vertices)
-    for v in scope:
-        if v not in g:
-            raise KeyError(f"no vertex {v}")
-    return _lex_first_2matching(g.adjacency, scope)
 
 
 def _check_input(g, exact_threshold):
@@ -281,15 +253,7 @@ def _step_violations(adj, matched, removed):
                         "structure",
                         f"neighbor {y} of matched endpoint {x} survives",
                     ))
-    newly_isolated = 0
-    seen = set()
-    for x in rset:
-        for y in adj[x]:
-            if y in rset or y in seen:
-                continue
-            seen.add(y)
-            if adj[y] <= rset:
-                newly_isolated += 1
+    newly_isolated = len(_isolated(adj, rset))
     if 9 * len(matched) < len(rset) + newly_isolated:
         problems.append((
             "accounting",
@@ -297,6 +261,21 @@ def _step_violations(adj, matched, removed):
             f" + {newly_isolated} isolated",
         ))
     return problems
+
+
+def _isolated(adj, removed):
+    """Sorted vertices outside removed whose neighbors all lie in it."""
+    out = []
+    seen = set()
+    for x in removed:
+        for y in adj[x]:
+            if y in removed or y in seen:
+                continue
+            seen.add(y)
+            if adj[y] <= removed:
+                out.append(y)
+    out.sort()
+    return out
 
 
 class _Pool:
@@ -429,8 +408,10 @@ class _Pool:
         heappush(queues["R8"], y)
 
     def _push_deg3_events(self, y):
-        if self._has_cycle4_through(y):
-            heappush(self.queues["R10"], y)
+        # Like R8, R10 takes every entry and leaves the 4-cycle test to the
+        # pop: a degree-3 vertex keeps its neighbors, and 4-cycles only
+        # disappear, so an entry without one can never become live.
+        heappush(self.queues["R10"], y)
         for u in self.adj[y]:
             if len(self.adj[u]) == 1:
                 heappush(self.queues["R1"], (u, y))
@@ -442,15 +423,20 @@ class _Pool:
                 return True
         return False
 
-    def _has_cycle4_through(self, u):
-        nbrs = sorted(self.adj[u])
-        for i, p in enumerate(nbrs):
-            ap = self.adj[p]
-            for q in nbrs[i + 1 :]:
-                for w in self.adj[q]:
-                    if w != u and w in ap:
-                        return True
-        return False
+    def _cycle4_through(self, u):
+        """The smallest (p, w, q), p < q, with u-p-w-q-u a 4-cycle, or None."""
+        adj = self.adj
+        nbrs = sorted(adj[u])
+        return min(
+            (
+                (p, w, q)
+                for i, p in enumerate(nbrs)
+                for q in nbrs[i + 1 :]
+                for w in adj[q]
+                if w != u and w in adj[p]
+            ),
+            default=None,
+        )
 
     # ----- mutation ---------------------------------------------------------
 
@@ -548,20 +534,6 @@ class _Pool:
             detail, rule=rule, witness=witness, graph_text=format_graph(snapshot)
         )
 
-    def _isolated_by(self, removed):
-        adj = self.adj
-        out = []
-        seen = set()
-        for x in removed:
-            for y in adj[x]:
-                if y in removed or y in seen:
-                    continue
-                seen.add(y)
-                if adj[y] <= removed:
-                    out.append(y)
-        out.sort()
-        return out
-
     def _induced_ok(self, matched):
         endpoints = [p for e in matched for p in e]
         if len(set(endpoints)) != len(endpoints):
@@ -613,7 +585,7 @@ class _Pool:
         u1, u2, v = entry
         x = set(self.adj[v])
         x.add(v)
-        if len(self._isolated_by(x)) <= 4:
+        if len(_isolated(self.adj, x)) <= 4:
             return _step("R2", ((u1, v),), x)
         spare = sorted(self.adj[v] - {u1, u2})
         if len(spare) != 2:
@@ -665,7 +637,7 @@ class _Pool:
         (v,) = self.adj[u]
         x = set(self.adj[v])
         x.add(v)
-        iso = self._isolated_by(x)
+        iso = _isolated(self.adj, x)
         if len(iso) > 4:
             raise self.violation("R4", u, f"isolates {len(iso)}, expected <= 4")
         return _step("R4", ((u, v),), x)
@@ -713,7 +685,7 @@ class _Pool:
         )
         witness = (u, v, shared[0], t)
         x = self.adj[u] | self.adj[v]
-        iso = self._isolated_by(x)
+        iso = _isolated(self.adj, x)
         if len(iso) <= 3:
             return _step("R7", ((u, v),), x)
         nt = self.adj[t]
@@ -740,7 +712,7 @@ class _Pool:
         a, b = sorted(self.adj[u])
         for v, w in ((a, b), (b, a)):
             x = self.adj[u] | self.adj[v]
-            iso = self._isolated_by(x)
+            iso = _isolated(self.adj, x)
             if len(iso) <= 3:
                 return _step("R8", ((u, v),), x)
             nw = self.adj[w]
@@ -764,7 +736,7 @@ class _Pool:
         # triangle it avoids.
         u, v, w = entry
         x = self.adj[u] | self.adj[v]
-        iso = self._isolated_by(x)
+        iso = _isolated(self.adj, x)
         if len(iso) <= 2:
             return _step("R9", ((u, v),), x)
         nu = self.adj[u]
@@ -790,28 +762,18 @@ class _Pool:
     def _valid_r10(self, u):
         return (
             u in self.adj and len(self.adj[u]) == 3
-            and self._has_cycle4_through(u)
+            and self._cycle4_through(u) is not None
         )
 
     def _build_r10(self, u):
         # 4-cycle through a degree-3 vertex u, whose off-cycle neighbor v
         # pairs with it; if v has degree 4 and the removal isolates a lot,
         # fall back to the first induced pair inside the closed scope.
-        nbrs = sorted(self.adj[u])
-        best = None
-        for i, p in enumerate(nbrs):
-            np_ = self.adj[p]
-            for q in nbrs[i + 1 :]:
-                for z in self.adj[q]:
-                    if z != u and z in np_:
-                        cand = (p, z, q)
-                        if best is None or cand < best:
-                            best = cand
-        p, w, q = best
-        (v,) = set(nbrs) - {p, q}
+        p, w, q = self._cycle4_through(u)
+        (v,) = self.adj[u] - {p, q}
         witness = (u, p, w, q)
         x = self.adj[u] | self.adj[v]
-        iso = self._isolated_by(x)
+        iso = _isolated(self.adj, x)
         dv = len(self.adj[v])
         if len(iso) <= 2:
             return _step("R10", ((u, v),), x)
@@ -834,7 +796,7 @@ class _Pool:
         # back to the first induced pair inside the closed scope.
         a, b, _, _ = entry
         x = self.adj[a] | self.adj[b]
-        iso = self._isolated_by(x)
+        iso = _isolated(self.adj, x)
         if len(iso) <= 1:
             return _step("R11", ((a, b),), x)
         for s in iso:
@@ -871,7 +833,7 @@ class _Pool:
         # deleting any edge's two neighborhoods isolates nothing.
         u, v = entry
         x = self.adj[u] | self.adj[v]
-        iso = self._isolated_by(x)
+        iso = _isolated(self.adj, x)
         if iso:
             raise self.violation(
                 "R12", entry, f"base step isolates {len(iso)} vertices"

@@ -8,7 +8,7 @@ induced matching sits exactly on interesting boundaries.
 
 from dataclasses import dataclass
 
-from .graph import Graph, _c25_adjacency, build_graph
+from .graph import Graph, build_graph
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -71,7 +71,11 @@ def gen_c25():
     4-regular on 10 vertices, girth 4, and its best induced matching is a
     single edge, which is what disqualifies it from the n/9 guarantee.
     """
-    return Graph({v: frozenset(s) for v, s in _c25_adjacency().items()})
+    edges = []
+    for i in range(5):
+        j = (i + 1) % 5
+        edges += [(a, b) for a in (i, i + 5) for b in (j, j + 5)]
+    return build_graph(10, edges)
 
 
 def gen_k33plus():

@@ -7,7 +7,7 @@ meaningful at every intermediate stage.
 Everything here is deterministic: iteration orders are pinned by sorting.
 """
 
-from collections import deque
+from collections import Counter, deque
 from types import MappingProxyType
 
 from .errors import (
@@ -127,20 +127,6 @@ class Graph:
             comps.append(tuple(sorted(comp)))
         return comps
 
-    def is_connected(self):
-        if self.n <= 1:
-            return True
-        start = next(iter(self._adj))
-        seen = {start}
-        queue = deque((start,))
-        while queue:
-            x = queue.popleft()
-            for y in self._adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return len(seen) == self.n
-
     def subgraph(self, keep):
         """Induced subgraph on the given vertices; every id must exist."""
         kept = set(keep)
@@ -207,104 +193,17 @@ def is_induced_matching(g, pairs):
     return True
 
 
-def _c25_adjacency():
-    # The excluded graph: two 5-cycles blown up so that consecutive positions
-    # are joined by all four cross edges. Vertices i and i+5 share a position
-    # and are not adjacent; every vertex has degree 4 and the girth is 4.
-    adj = {v: set() for v in range(10)}
-    for i in range(5):
-        j = (i + 1) % 5
-        for a in (i, i + 5):
-            for b in (j, j + 5):
-                adj[a].add(b)
-                adj[b].add(a)
-    return adj
-
-
 def is_isomorphic_c25(g):
-    """Whether g is (isomorphic to) the excluded 10-vertex graph."""
-    if g.n != 10 or g.m != 20:
+    """Whether g is (isomorphic to) the excluded 10-vertex graph.
+
+    C25 is the 5-cycle with every vertex doubled, so it is recognised by its
+    twin pairs: 10 vertices of degree 4 whose neighborhoods each occur
+    exactly twice. That is exact. Twins are non-adjacent, and a neighborhood
+    holds the twin of each of its members, so it is a union of two pairs;
+    the quotient on the five pairs is then 2-regular, and the only 2-regular
+    simple graph on five vertices is C5.
+    """
+    adj = g.adjacency
+    if len(adj) != 10 or any(len(s) != 4 for s in adj.values()):
         return False
-    if any(g.degree(v) != 4 for v in g.vertices()):
-        return False
-    model = Graph({v: frozenset(s) for v, s in _c25_adjacency().items()})
-    return _isomorphic(g, model)
-
-
-def _isomorphic(g, h):
-    """Backtracking isomorphism test for small graphs."""
-    if g.n != h.n or g.m != h.m:
-        return False
-    gsig = {v: _vertex_signature(g, v) for v in g.vertices()}
-    hsig = {v: _vertex_signature(h, v) for v in h.vertices()}
-    if sorted(gsig.values()) != sorted(hsig.values()):
-        return False
-    order = _mapping_order(g, gsig)
-    hverts = h.vertices()
-    gadj = g.adjacency
-    hadj = h.adjacency
-    image = {}
-    used = set()
-
-    def extend(i):
-        if i == len(order):
-            return True
-        v = order[i]
-        want = gsig[v]
-        nbrs_mapped = [(p, image[p]) for p in gadj[v] if p in image]
-        for w in hverts:
-            if w in used or hsig[w] != want:
-                continue
-            ok = True
-            for p, wp in nbrs_mapped:
-                if wp not in hadj[w]:
-                    ok = False
-                    break
-            if ok:
-                # Mapped non-neighbors must stay non-neighbors too.
-                for p in image:
-                    if p not in gadj[v] and image[p] in hadj[w]:
-                        ok = False
-                        break
-            if ok:
-                image[v] = w
-                used.add(w)
-                if extend(i + 1):
-                    return True
-                del image[v]
-                used.discard(w)
-        return False
-
-    return extend(0)
-
-
-def _vertex_signature(g, v):
-    return (g.degree(v), tuple(sorted(g.degree(u) for u in g.neighbors(v))))
-
-
-def _mapping_order(g, sigs):
-    # Explore from the rarest-signature vertex outward so each new vertex is
-    # constrained by already-mapped neighbors as early as possible.
-    verts = g.vertices()
-    if not verts:
-        return []
-    sig_count = {}
-    for v in verts:
-        sig_count[sigs[v]] = sig_count.get(sigs[v], 0) + 1
-    start = min(verts, key=lambda v: (sig_count[sigs[v]], -g.degree(v), v))
-    order = [start]
-    placed = {start}
-    while len(order) < len(verts):
-        nxt = None
-        best = None
-        for v in verts:
-            if v in placed:
-                continue
-            attached = sum(1 for u in g.neighbors(v) if u in placed)
-            key = (-attached, v)
-            if best is None or key < best:
-                best = key
-                nxt = v
-        order.append(nxt)
-        placed.add(nxt)
-    return order
+    return all(c == 2 for c in Counter(adj.values()).values())

@@ -8,7 +8,7 @@ from indmatch import (
     ReductionStep,
     SplitMix64,
     build_graph,
-    find_induced_2matching_within,
+    format_certificate,
     gen_c25,
     gen_cycle,
     gen_path,
@@ -19,7 +19,6 @@ from indmatch import (
     next_reduction,
     parse_graph_text,
     solve,
-    validate_step,
 )
 from indmatch import engine
 
@@ -298,26 +297,55 @@ def test_solve_matches_oracle_bound_on_random_graphs():
             assert len(result.matching) <= _oracles.nu_s(g)
 
 
+def _problems(g, step):
+    problems = engine._step_violations(g.adjacency, step.matched, step.removed)
+    return [m for _, m in problems]
+
+
 def test_validate_step():
     c20 = gen_cycle(20)
-    assert validate_step(c20, next_reduction(c20)) == []
+    assert _problems(c20, next_reduction(c20)) == []
 
     p30 = gen_path(30)
-    assert validate_step(p30, ReductionStep("R1", ((0, 1),), tuple(range(12)))) == [
+    assert _problems(p30, ReductionStep("R1", ((0, 1),), tuple(range(12)))) == [
         "9*1 matched < 12 removed + 0 isolated"
     ]
-    assert validate_step(p30, ReductionStep("R5", ((0, 1), (1, 2)), (0, 1, 2, 3)))
-    assert validate_step(p30, ReductionStep("R5", ((0, 1), (2, 3)), tuple(range(5))))
-    assert validate_step(p30, ReductionStep("R1", ((0, 2),), (0, 1, 2, 3)))
+    assert _problems(p30, ReductionStep("R5", ((0, 1), (1, 2)), (0, 1, 2, 3)))
+    assert _problems(p30, ReductionStep("R5", ((0, 1), (2, 3)), tuple(range(5))))
+    assert _problems(p30, ReductionStep("R1", ((0, 2),), (0, 1, 2, 3)))
     # neighbor of a matched endpoint must not survive
-    assert validate_step(p30, ReductionStep("R1", ((0, 1),), (0, 1)))
+    assert _problems(p30, ReductionStep("R1", ((0, 1),), (0, 1)))
+
+    # solve rejects C25 up front; were it ever finished exactly mid-reduction,
+    # this check would refuse the step as unpaid
+    c25 = gen_c25()
+    assert engine._step_violations(
+        c25.adjacency, max_induced_matching(c25), tuple(range(10))
+    ) == [("accounting", "9*1 matched < 10 removed + 0 isolated")]
 
 
 def test_find_induced_2matching_within():
-    p6 = gen_path(6)
-    assert find_induced_2matching_within(p6, set(range(6))) == ((0, 1), (3, 4))
-    assert find_induced_2matching_within(p6, {0, 1, 2}) is None
-    tri = build_graph(3, [(0, 1), (1, 2), (2, 0)])
-    assert find_induced_2matching_within(tri, {0, 1, 2}) is None
-    star = build_graph(5, [(0, i) for i in range(1, 5)])
-    assert find_induced_2matching_within(star, set(range(5))) is None
+    p6 = gen_path(6).adjacency
+    assert engine._lex_first_2matching(p6, set(range(6))) == ((0, 1), (3, 4))
+    assert engine._lex_first_2matching(p6, {0, 1, 2}) is None
+    tri = build_graph(3, [(0, 1), (1, 2), (2, 0)]).adjacency
+    assert engine._lex_first_2matching(tri, {0, 1, 2}) is None
+    star = build_graph(5, [(0, i) for i in range(1, 5)]).adjacency
+    assert engine._lex_first_2matching(star, set(range(5))) is None
+
+
+def test_r10_after_a_degree_drop():
+    # Vertex 2 starts at degree 4 and only reaches degree 3, on a 4-cycle,
+    # when the R4 step deletes a neighbor.
+    g = gen_random_maxdeg4(RandomGraphConfig(32, 128, 3995))
+    assert g.degree(2) == 4
+    result = solve(g)
+    assert [st.rule for st in result.certificate.steps] == ["R4", "R10", "R5", "EXACT"]
+    assert format_certificate(result) == (
+        "step 1 rule R4 match 11-25 remove 3,7,10,11,25\n"
+        "step 2 rule R10 match 0-2 remove 0,1,2,5,6,8\n"
+        "step 3 rule R5 match 12-19 remove 12,15,19,26\n"
+        "step 4 rule EXACT match 4-16,9-13,18-24,20-23,21-31"
+        " remove 4,9,13,14,16,17,18,20,21,22,23,24,27,28,29,30,31\n"
+        "matching 0-2,4-16,9-13,11-25,12-19,18-24,20-23,21-31\n"
+    )

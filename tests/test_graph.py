@@ -17,6 +17,7 @@ from indmatch import (
 )
 from indmatch.generators import RandomGraphConfig
 
+import _enum
 import _oracles
 
 
@@ -85,11 +86,9 @@ def test_degree_and_neighbors():
 def test_components():
     g = build_graph(4, [(0, 1), (2, 3)])
     assert g.components() == [(0, 1), (2, 3)]
-    assert not g.is_connected()
     assert gen_c25().components() == [tuple(range(10))]
     assert build_graph(0, []).components() == []
-    assert build_graph(0, []).is_connected()
-    assert build_graph(1, []).is_connected()
+    assert build_graph(1, []).components() == [(0,)]
 
 
 def test_components_agree_with_reachability():
@@ -173,3 +172,38 @@ def test_c25_recognition_negative():
     edges += [(i, (i + 2) % 10) for i in range(10)]
     assert not is_isomorphic_c25(build_graph(10, edges))
     assert not is_isomorphic_c25(gen_path(10))
+
+
+def _pairing_model_4regular(prng, n):
+    # Random pairing of 4n half-edges, redrawn until simple.
+    while True:
+        points = [v for v in range(n) for _ in range(4)]
+        for i in range(len(points) - 1, 0, -1):
+            j = prng.below(i + 1)
+            points[i], points[j] = points[j], points[i]
+        edges = {tuple(sorted(points[i:i + 2])) for i in range(0, len(points), 2)}
+        if len(edges) == 2 * n and all(a != b for a, b in edges):
+            return build_graph(n, sorted(edges))
+
+
+def test_c25_recognition_matches_reference():
+    c25 = gen_c25()
+    model = {v: set(c25.neighbors(v)) for v in c25.vertices()}
+    edges = c25.edges()
+    candidates = [c25]
+    # Every double-edge switch ab, cd -> ad, cb keeps the graph 4-regular.
+    for i, e in enumerate(edges):
+        for f in edges[i + 1 :]:
+            for (a, b), (c, d) in ((e, f), (e, f[::-1])):
+                if len({a, b, c, d}) < 4 or c25.has_edge(a, d) or c25.has_edge(c, b):
+                    continue
+                kept = [x for x in edges if x != e and x != f]
+                candidates.append(build_graph(10, kept + [(a, d), (c, b)]))
+    k5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    candidates.append(build_graph(10, k5 + [(i + 5, j + 5) for i, j in k5]))
+    prng = SplitMix64(2510)
+    candidates += [_pairing_model_4regular(prng, 10) for _ in range(60)]
+    for g in candidates:
+        assert all(g.degree(v) == 4 for v in g.vertices())
+        adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+        assert is_isomorphic_c25(g) == _enum.isomorphic(adj, model), g.edges()
