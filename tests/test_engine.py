@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from indmatch import (
@@ -348,4 +350,29 @@ def test_r10_after_a_degree_drop():
         "step 4 rule EXACT match 4-16,9-13,18-24,20-23,21-31"
         " remove 4,9,13,14,16,17,18,20,21,22,23,24,27,28,29,30,31\n"
         "matching 0-2,4-16,9-13,11-25,12-19,18-24,20-23,21-31\n"
+    )
+
+
+def test_late_rule_certificate_is_pinned():
+    # 100 components of 19-40 vertices laid end to end, built the way the
+    # mixed_rules benchmark workload is: every rule up to R10 fires, so a
+    # change in which stale queue head is skipped shows up in the digest.
+    prng = SplitMix64(1)
+    edges = []
+    n = 0
+    for _ in range(100):
+        size = 19 + prng.below(22)
+        part = gen_random_maxdeg4(
+            RandomGraphConfig(size, 4 * size, prng.next_u64())
+        )
+        edges.extend((u + n, v + n) for u, v in part.edges())
+        n += size
+    g = build_graph(n, edges)
+    assert g.n == 2970
+    result = solve(g)
+    fired = {st.rule for st in result.certificate.steps}
+    assert fired >= {f"R{k}" for k in range(1, 11)} | {"EXACT"}
+    text = format_certificate(result)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "162aacb5842b154c442c6470001e79b122d7a7cd95fe8bba7c018319d5b42f1c"
     )
