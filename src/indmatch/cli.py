@@ -6,7 +6,8 @@ diagnostic goes to stderr.
 
 Exit codes: 0 success, 2 max degree exceeded, 3 excluded component in the
 input, 4 usage or parse failure, 5 internal invariant violation, 6 checks
-found failures, 7 search budget exhausted.
+found failures, 7 search budget exhausted. Fuzz failures and invariant
+violations also leave a replay file in the working directory.
 """
 
 import argparse
@@ -50,6 +51,12 @@ EXIT_USAGE = 4
 EXIT_INVARIANT = 5
 EXIT_CHECKS_FAILED = 6
 EXIT_BUDGET = 7
+
+
+def _write_repro(name, header, graph_text):
+    """Write a replay file: '# key value' header lines, then the graph."""
+    lines = "".join(f"# {key} {value}\n" for key, value in header)
+    (Path.cwd() / name).write_text(lines + graph_text)
 
 
 def _write_out(text, out):
@@ -152,13 +159,15 @@ def _cmd_fuzz(args):
         print(line)
     print(f"slowest trial {report.max_seconds:.3f}s", file=sys.stderr)
     for failure in report.failures:
-        path = Path.cwd() / f"fuzz-fail-{failure.trial}.txt"
-        header = (
-            f"# fuzz failure: {failure.kind}\n"
-            f"# trial {failure.trial}\n"
-            f"# seed {failure.seed}\n"
+        _write_repro(
+            f"fuzz-fail-{failure.trial}.txt",
+            (
+                ("fuzz failure:", failure.kind),
+                ("trial", failure.trial),
+                ("seed", failure.seed),
+            ),
+            failure.graph_text,
         )
-        path.write_text(header + failure.graph_text)
         for detail in failure.details:
             print(f"trial {failure.trial}: {detail}", file=sys.stderr)
     return EXIT_CHECKS_FAILED if report.failures else EXIT_OK
@@ -244,6 +253,19 @@ def run(argv=None):
         return EXIT_BUDGET
     except InvariantViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        try:
+            _write_repro(
+                "invariant-fail.txt",
+                (
+                    ("invariant violation:", exc.detail),
+                    ("rule", exc.rule),
+                    ("witness", exc.witness),
+                ),
+                exc.graph_text or "",
+            )
+        except OSError as write_exc:
+            print(f"error: could not write invariant-fail.txt: {write_exc}",
+                  file=sys.stderr)
         return EXIT_INVARIANT
     except (FormatError, IndmatchError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

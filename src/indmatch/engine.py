@@ -16,9 +16,13 @@ The later, denser rules (R7 onward) sometimes need a second matched edge to
 pay for their removals. The searches for that second edge re-validate the
 candidate pair explicitly instead of trusting structure; if no candidate
 survives, the engine raises InvariantViolationError rather than emit an
-unpaid step, and the fuzz harness exists to prove that never happens.
-Every step, rule or exact, passes the same _step_violations check against
-the live graph before it is applied.
+unpaid step.
+
+Every rule step, and every EXACT finish of a component split off during
+the reduction, passes the same _step_violations check against the live
+graph before it is applied. The EXACT steps for components that are small
+in the input skip that check; solve's final induced-and-bound check and
+the replay in harness.verify_certificate cover them.
 """
 
 from dataclasses import dataclass
@@ -30,7 +34,7 @@ from .errors import (
     MaxDegreeExceededError,
 )
 from .exact import max_induced_matching
-from .graph import Graph, is_induced_matching, is_isomorphic_c25
+from .graph import Graph, _induced, is_induced_matching, is_isomorphic_c25
 
 EXACT_THRESHOLD = 18
 
@@ -287,21 +291,15 @@ class _Pool:
     at the event that could first make it fire and re-checked against the
     live adjacency when popped; stale entries are discarded then.
 
-    Rule Rk owns queues["Rk"], the predicate _valid_rk that tells a live
-    queue head from a stale one, and _build_rk that turns a live head into
-    the step.
+    Rule Rk owns queues["Rk"] and the method _rk, which returns None for a
+    stale queue head and the step for a live one.
     """
 
     def __init__(self, adj):
         self.adj = adj
         self.queues = {name: [] for name in RULE_NAMES}
         self.rules = tuple(
-            (
-                name,
-                self.queues[name],
-                getattr(self, f"_valid_{name.lower()}"),
-                getattr(self, f"_build_{name.lower()}"),
-            )
+            (name, self.queues[name], getattr(self, f"_{name.lower()}"))
             for name in RULE_NAMES
         )
         # anchors[w] lists ends u (with their neighbor v) having w in
@@ -313,13 +311,7 @@ class _Pool:
         # dominated by the earlier rules never pays for them.
         self._static_built = False
         for v in sorted(adj):
-            d = len(adj[v])
-            if d == 1:
-                self._push_end_events(v)
-            elif d == 2:
-                self._push_deg2_events(v)
-            elif d == 3:
-                self._push_deg3_events(v)
+            self._push_events(v)
 
     def _build_static(self):
         self._static_built = True
@@ -358,6 +350,15 @@ class _Pool:
         heapify(r12)
 
     # ----- candidate events -------------------------------------------------
+
+    def _push_events(self, v):
+        d = len(self.adj[v])
+        if d == 1:
+            self._push_end_events(v)
+        elif d == 2:
+            self._push_deg2_events(v)
+        elif d == 3:
+            self._push_deg3_events(v)
 
     def _push_end_events(self, y):
         adj = self.adj
@@ -403,7 +404,8 @@ class _Pool:
                 heappush(queues["R1"], (t, y))
         if b in self.adj[a]:
             heappush(queues["R6"], y)
-        if self._common_excluding(a, b, y):
+        # y itself is one common neighbor of a and b; R7 wants another.
+        if len(self.adj[a] & self.adj[b]) > 1:
             heappush(queues["R7"], y)
         heappush(queues["R8"], y)
 
@@ -415,13 +417,6 @@ class _Pool:
         for u in self.adj[y]:
             if len(self.adj[u]) == 1:
                 heappush(self.queues["R1"], (u, y))
-
-    def _common_excluding(self, a, b, y):
-        nb = self.adj[b]
-        for w in self.adj[a]:
-            if w != y and w in nb:
-                return True
-        return False
 
     def _cycle4_through(self, u):
         """The smallest (p, w, q), p < q, with u-p-w-q-u a 4-cycle, or None."""
@@ -464,13 +459,7 @@ class _Pool:
         # Events fire only after every boundary degree is final, so the
         # degree tests inside the pushes never see half-applied state.
         for y in survivors:
-            d = len(self.adj[y])
-            if d == 1:
-                self._push_end_events(y)
-            elif d == 2:
-                self._push_deg2_events(y)
-            elif d == 3:
-                self._push_deg3_events(y)
+            self._push_events(y)
         return survivors
 
     def split_small(self, seeds, threshold):
@@ -508,12 +497,13 @@ class _Pool:
 
     def find_step(self):
         """The highest-priority rule's step at its smallest live witness."""
-        for name, queue, valid, build in self.rules:
+        for name, queue, rule in self.rules:
             if name == "R9" and not self._static_built:
                 self._build_static()
             while queue:
-                if valid(queue[0]):
-                    return build(queue[0])
+                step = rule(queue[0])
+                if step is not None:
+                    return step
                 heappop(queue)
         raise self.violation("R12", None, "no rule applies to a non-empty graph")
 
@@ -534,218 +524,179 @@ class _Pool:
             detail, rule=rule, witness=witness, graph_text=format_graph(snapshot)
         )
 
-    def _induced_ok(self, matched):
-        endpoints = [p for e in matched for p in e]
-        if len(set(endpoints)) != len(endpoints):
-            return False
-        adj = self.adj
-        for a, b in matched:
-            if a not in adj or b not in adj or b not in adj[a]:
-                return False
-        for i in range(len(matched)):
-            for j in range(i + 1, len(matched)):
-                for x in matched[i]:
-                    for y in matched[j]:
-                        if y in adj[x]:
-                            return False
-        return True
 
     # ----- the rules, in priority order --------------------------------------
 
-    def _valid_r1(self, entry):
-        u, v = entry
-        adj = self.adj
-        return (
-            u in adj and v in adj and len(adj[u]) == 1
-            and v in adj[u] and len(adj[v]) <= 3
-        )
-
-    def _build_r1(self, entry):
+    def _r1(self, entry):
         # Pendant edge at a low-degree neighbor: delete the neighbor's
         # closed neighborhood, match the pendant edge.
         u, v = entry
-        removed = set(self.adj[v])
+        adj = self.adj
+        if not (
+            u in adj and v in adj and len(adj[u]) == 1
+            and v in adj[u] and len(adj[v]) <= 3
+        ):
+            return None
+        removed = set(adj[v])
         removed.add(v)
         return _step("R1", ((u, v),), removed)
 
-    def _valid_r2(self, entry):
-        u1, u2, v = entry
-        adj = self.adj
-        return (
-            u1 in adj and u2 in adj and v in adj
-            and len(adj[u1]) == 1 and len(adj[u2]) == 1
-            and v in adj[u1] and v in adj[u2]
-        )
-
-    def _build_r2(self, entry):
+    def _r2(self, entry):
         # Two pendant vertices on one degree-4 center. Either deleting the
         # center's closed neighborhood isolates little, or the center's two
         # spare neighbors carry pendant edges of their own that pay for a
         # bigger removal.
         u1, u2, v = entry
-        x = set(self.adj[v])
+        adj = self.adj
+        if not (
+            u1 in adj and u2 in adj and v in adj
+            and len(adj[u1]) == 1 and len(adj[u2]) == 1
+            and v in adj[u1] and v in adj[u2]
+        ):
+            return None
+        x = set(adj[v])
         x.add(v)
-        if len(_isolated(self.adj, x)) <= 4:
+        if len(_isolated(adj, x)) <= 4:
             return _step("R2", ((u1, v),), x)
-        spare = sorted(self.adj[v] - {u1, u2})
+        spare = sorted(adj[v] - {u1, u2})
         if len(spare) != 2:
             raise self.violation("R2", entry, "center is not degree 4")
         w1, w2 = spare
-        if w2 in self.adj[w1]:
+        if w2 in adj[w1]:
             raise self.violation("R2", entry, "spare neighbors are adjacent")
-        for t1 in sorted(self.adj[w1]):
-            if len(self.adj[t1]) != 1:
+        for t1 in sorted(adj[w1]):
+            if len(adj[t1]) != 1:
                 continue
-            for t2 in sorted(self.adj[w2]):
-                if len(self.adj[t2]) != 1 or t2 == t1:
+            for t2 in sorted(adj[w2]):
+                if len(adj[t2]) != 1 or t2 == t1:
                     continue
                 matched = ((w1, t1), (w2, t2))
-                if self._induced_ok(matched):
-                    removed = x | self.adj[w1] | self.adj[w2]
-                    return _step("R2", matched, removed)
+                if _induced(adj, matched):
+                    return _step("R2", matched, x | adj[w1] | adj[w2])
         raise self.violation("R2", entry, "no pendant pair on the spare neighbors")
 
-    def _valid_r3(self, entry):
-        u1, u2 = entry
-        adj = self.adj
-        if u1 not in adj or u2 not in adj:
-            return False
-        if len(adj[u1]) != 1 or len(adj[u2]) != 1:
-            return False
-        (v1,) = adj[u1]
-        (v2,) = adj[u2]
-        if v1 == v2 or v1 in adj[v2]:
-            return False
-        nv2 = adj[v2]
-        return any(w in nv2 for w in adj[v1])
-
-    def _build_r3(self, entry):
+    def _r3(self, entry):
         # Two pendant vertices exactly distance 4 apart: match both pendant
         # edges, delete both neighbors' closed neighborhoods.
         u1, u2 = entry
-        (v1,) = self.adj[u1]
-        (v2,) = self.adj[u2]
-        removed = {v1, v2} | self.adj[v1] | self.adj[v2]
+        adj = self.adj
+        if u1 not in adj or u2 not in adj:
+            return None
+        if len(adj[u1]) != 1 or len(adj[u2]) != 1:
+            return None
+        (v1,) = adj[u1]
+        (v2,) = adj[u2]
+        if v1 == v2 or v1 in adj[v2] or adj[v1].isdisjoint(adj[v2]):
+            return None
+        removed = {v1, v2} | adj[v1] | adj[v2]
         return _step("R3", ((u1, v1), (u2, v2)), removed)
 
-    def _valid_r4(self, u):
-        return u in self.adj and len(self.adj[u]) == 1
-
-    def _build_r4(self, u):
+    def _r4(self, u):
         # Any remaining pendant vertex: its neighbor has degree 4 (R1 would
         # have fired otherwise) and isolates at most 4 vertices here.
-        (v,) = self.adj[u]
-        x = set(self.adj[v])
+        adj = self.adj
+        if u not in adj or len(adj[u]) != 1:
+            return None
+        (v,) = adj[u]
+        x = set(adj[v])
         x.add(v)
-        iso = _isolated(self.adj, x)
+        iso = _isolated(adj, x)
         if len(iso) > 4:
             raise self.violation("R4", u, f"isolates {len(iso)}, expected <= 4")
         return _step("R4", ((u, v),), x)
 
-    def _valid_r5(self, entry):
-        u, v = entry
-        adj = self.adj
-        return (
-            u in adj and v in adj and v in adj[u]
-            and len(adj[u]) == 2 and len(adj[v]) == 2
-        )
-
-    def _build_r5(self, entry):
+    def _r5(self, entry):
         # Adjacent degree-2 pair: match their edge, delete both
         # neighborhoods (at most 4 vertices).
         u, v = entry
-        return _step("R5", (entry,), self.adj[u] | self.adj[v])
-
-    def _valid_r6(self, u):
         adj = self.adj
-        if u not in adj or len(adj[u]) != 2:
-            return False
-        a, b = adj[u]
-        return b in adj[a]
+        if not (
+            u in adj and v in adj and v in adj[u]
+            and len(adj[u]) == 2 and len(adj[v]) == 2
+        ):
+            return None
+        return _step("R5", (entry,), adj[u] | adj[v])
 
-    def _build_r6(self, u):
+    def _r6(self, u):
         # Degree-2 vertex in a triangle: match it to its smaller neighbor.
-        v = min(self.adj[u])
-        return _step("R6", ((u, v),), self.adj[u] | self.adj[v])
-
-    def _valid_r7(self, u):
         adj = self.adj
         if u not in adj or len(adj[u]) != 2:
-            return False
+            return None
         a, b = sorted(adj[u])
-        return self._common_excluding(a, b, u)
+        if b not in adj[a]:
+            return None
+        return _step("R6", ((u, a),), adj[u] | adj[a])
 
-    def _build_r7(self, u):
+    def _r7(self, u):
         # Degree-2 vertex on a 4-cycle u-v-w-t. Either few vertices drop
         # out, or one dropped vertex s reaches back into N(v) at some r
         # clear of t, giving the induced pair {ut, rs}.
-        v, t = sorted(self.adj[u])
-        shared = sorted(
-            w for w in self.adj[v] if w != u and w in self.adj[t]
-        )
-        witness = (u, v, shared[0], t)
-        x = self.adj[u] | self.adj[v]
-        iso = _isolated(self.adj, x)
+        adj = self.adj
+        if u not in adj or len(adj[u]) != 2:
+            return None
+        v, t = sorted(adj[u])
+        nt = adj[t]
+        w = min((w for w in adj[v] if w != u and w in nt), default=None)
+        if w is None:
+            return None
+        x = adj[u] | adj[v]
+        iso = _isolated(adj, x)
         if len(iso) <= 3:
             return _step("R7", ((u, v),), x)
-        nt = self.adj[t]
         for s in iso:
             if s in nt:
                 continue
-            ns = self.adj[s]
-            for r in sorted(self.adj[v]):
+            ns = adj[s]
+            for r in sorted(adj[v]):
                 if r == u or r in nt or r not in ns:
                     continue
                 matched = ((u, t), (r, s))
-                if self._induced_ok(matched):
-                    removed = x | set(iso) | nt | self.adj[r]
-                    return _step("R7", matched, removed)
-        raise self.violation("R7", witness, "no pair clears the cycle")
+                if _induced(adj, matched):
+                    return _step("R7", matched, x | set(iso) | nt | adj[r])
+        raise self.violation("R7", (u, v, w, t), "no pair clears the cycle")
 
-    def _valid_r8(self, u):
-        return u in self.adj and len(self.adj[u]) == 2
-
-    def _build_r8(self, u):
+    def _r8(self, u):
         # Any remaining degree-2 vertex; try both neighbor orientations.
         # Either the removal isolates little, or some dropped vertex s
         # reaches N(v) at t while missing w, giving {st, uw}.
-        a, b = sorted(self.adj[u])
+        adj = self.adj
+        if u not in adj or len(adj[u]) != 2:
+            return None
+        a, b = sorted(adj[u])
         for v, w in ((a, b), (b, a)):
-            x = self.adj[u] | self.adj[v]
-            iso = _isolated(self.adj, x)
+            x = adj[u] | adj[v]
+            iso = _isolated(adj, x)
             if len(iso) <= 3:
                 return _step("R8", ((u, v),), x)
-            nw = self.adj[w]
+            nw = adj[w]
             for s in iso:
                 if s in nw:
                     continue
-                for t in sorted(self.adj[v] & self.adj[s]):
+                for t in sorted(adj[v] & adj[s]):
                     matched = ((s, t), (u, w))
-                    if self._induced_ok(matched):
-                        removed = x | set(iso) | self.adj[t] | nw
-                        return _step("R8", matched, removed)
+                    if _induced(adj, matched):
+                        return _step("R8", matched, x | set(iso) | adj[t] | nw)
         raise self.violation("R8", u, "both orientations failed")
 
-    def _valid_r9(self, entry):
-        adj = self.adj
-        return entry[0] in adj and entry[1] in adj and entry[2] in adj
-
-    def _build_r9(self, entry):
+    def _r9(self, entry):
         # Triangle u < v < w: match uv unless too much drops out, in which
         # case a dropped vertex s pairs with a neighbor r on the side of the
         # triangle it avoids.
         u, v, w = entry
-        x = self.adj[u] | self.adj[v]
-        iso = _isolated(self.adj, x)
+        adj = self.adj
+        if u not in adj or v not in adj or w not in adj:
+            return None
+        nu = adj[u]
+        nv = adj[v]
+        x = nu | nv
+        iso = _isolated(adj, x)
         if len(iso) <= 2:
             return _step("R9", ((u, v),), x)
-        nu = self.adj[u]
-        nv = self.adj[v]
-        nw = self.adj[w]
+        nw = adj[w]
         for s in iso:
             if s in nw:
                 continue
-            ns = self.adj[s]
+            ns = adj[s]
             for r in sorted(x - {u, v, w}):
                 if r not in ns:
                     continue
@@ -754,27 +705,26 @@ class _Pool:
                 if r_u == r_v:
                     continue
                 matched = ((v, w) if r_u else (u, w), (r, s))
-                if self._induced_ok(matched):
-                    removed = x | set(iso) | nw | self.adj[r]
-                    return _step("R9", matched, removed)
+                if _induced(adj, matched):
+                    return _step("R9", matched, x | set(iso) | nw | adj[r])
         raise self.violation("R9", entry, "no pair leaves the triangle")
 
-    def _valid_r10(self, u):
-        return (
-            u in self.adj and len(self.adj[u]) == 3
-            and self._cycle4_through(u) is not None
-        )
-
-    def _build_r10(self, u):
+    def _r10(self, u):
         # 4-cycle through a degree-3 vertex u, whose off-cycle neighbor v
         # pairs with it; if v has degree 4 and the removal isolates a lot,
         # fall back to the first induced pair inside the closed scope.
-        p, w, q = self._cycle4_through(u)
-        (v,) = self.adj[u] - {p, q}
+        adj = self.adj
+        if u not in adj or len(adj[u]) != 3:
+            return None
+        cycle = self._cycle4_through(u)
+        if cycle is None:
+            return None
+        p, w, q = cycle
+        (v,) = adj[u] - {p, q}
         witness = (u, p, w, q)
-        x = self.adj[u] | self.adj[v]
-        iso = _isolated(self.adj, x)
-        dv = len(self.adj[v])
+        x = adj[u] | adj[v]
+        iso = _isolated(adj, x)
+        dv = len(adj[v])
         if len(iso) <= 2:
             return _step("R10", ((u, v),), x)
         if dv == 3:
@@ -787,22 +737,21 @@ class _Pool:
             raise self.violation("R10", witness, f"partner has degree {dv}")
         return self._scope_pair_step("R10", x, iso, witness)
 
-    def _valid_r11(self, entry):
-        adj = self.adj
-        return all(x in adj for x in entry)
-
-    def _build_r11(self, entry):
+    def _r11(self, entry):
         # Any remaining 4-cycle (a, b, c, d): match the edge ab, or fall
         # back to the first induced pair inside the closed scope.
+        adj = self.adj
+        if not all(x in adj for x in entry):
+            return None
         a, b, _, _ = entry
-        x = self.adj[a] | self.adj[b]
-        iso = _isolated(self.adj, x)
+        x = adj[a] | adj[b]
+        iso = _isolated(adj, x)
         if len(iso) <= 1:
             return _step("R11", ((a, b),), x)
         for s in iso:
-            if len(self.adj[s]) != 4:
+            if len(adj[s]) != 4:
                 raise self.violation(
-                    "R11", entry, f"isolated vertex {s} has degree {len(self.adj[s])}"
+                    "R11", entry, f"isolated vertex {s} has degree {len(adj[s])}"
                 )
         return self._scope_pair_step("R11", x, iso, entry)
 
@@ -825,15 +774,15 @@ class _Pool:
             )
         return _step(rule, pair, removed)
 
-    def _valid_r12(self, entry):
-        return entry[0] in self.adj and entry[1] in self.adj
-
-    def _build_r12(self, entry):
+    def _r12(self, entry):
         # Base step: minimum degree 3 and girth 5 or more by now, so
         # deleting any edge's two neighborhoods isolates nothing.
         u, v = entry
-        x = self.adj[u] | self.adj[v]
-        iso = _isolated(self.adj, x)
+        adj = self.adj
+        if u not in adj or v not in adj:
+            return None
+        x = adj[u] | adj[v]
+        iso = _isolated(adj, x)
         if iso:
             raise self.violation(
                 "R12", entry, f"base step isolates {len(iso)} vertices"

@@ -171,25 +171,27 @@ def is_induced_matching(g, pairs):
     edge of g. Unknown vertex ids raise; structural failures return False.
     """
     adj = g.adjacency
+    pairs = tuple(pairs)
+    for pair in pairs:
+        for x in pair:
+            if x not in adj:
+                raise UnknownVertexError(f"no vertex {x}")
+    return _induced(adj, pairs)
+
+
+def _induced(adj, pairs):
+    """is_induced_matching on a bare adjacency mapping; a missing vertex
+    makes the answer False rather than an error."""
     matched = {}
-    edges = []
     for a, b in pairs:
-        if a not in adj:
-            raise UnknownVertexError(f"no vertex {a}")
-        if b not in adj:
-            raise UnknownVertexError(f"no vertex {b}")
-        if a == b or b not in adj[a]:
-            return False
-        if a in matched or b in matched:
+        if a not in adj or b not in adj[a] or a in matched or b in matched:
             return False
         matched[a] = b
         matched[b] = a
-        edges.append((a, b))
-    for a, b in edges:
-        for x in (a, b):
-            for y in adj[x]:
-                if y in matched and matched[x] != y:
-                    return False
+    for x, partner in matched.items():
+        for y in adj[x]:
+            if y != partner and y in matched:
+                return False
     return True
 
 

@@ -1,10 +1,14 @@
-"""Independent checking of matchings and certificates, plus a fuzz loop.
+"""Checking of matchings and certificates, plus a fuzz loop.
 
-verify_certificate replays a solve log against a fresh copy of the graph
-using only the public step semantics, so it would catch an engine that
-cheated: every step must be a valid paid-for removal at the moment it runs,
-exact steps must remove a whole component and match optimally, and the steps
-must tile the graph exactly and assemble into the reported matching.
+verify_certificate replays a solve log against a fresh copy of the graph:
+every step must be a valid paid-for removal at the moment it runs, exact
+steps must remove a whole component and match optimally, and the steps must
+tile the graph exactly and assemble into the reported matching.
+
+The replay is not independent of the engine. It checks each step with the
+engine's own _step_violations, and it re-solves EXACT steps with the same
+max_induced_matching that produced them, so a bug in either would pass
+unseen (ROADMAP item 4). verify_solution shares no code with the engine.
 
 The fuzz loop is fully deterministic: trial t of a run with master seed s
 derives its own seed by one splitmix64 step from s + t, so any failure can
@@ -170,16 +174,8 @@ def _exact_step_problems(cur, step):
             f"exact removal is not a whole component (edges to {leaks[:4]})"
         )
         return problems
-    start = step.removed[0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in cur[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != len(rset):
+    sub = Graph({v: frozenset(cur[v]) for v in rset})
+    if len(sub.components()) != 1:
         problems.append("exact removal is not connected")
         return problems
     if len(rset) > _RECHECK_MAX_VERTICES:
@@ -187,7 +183,6 @@ def _exact_step_problems(cur, step):
             f"exact component of {len(rset)} vertices is too large to re-check"
         )
         return problems
-    sub = Graph({v: frozenset(cur[v]) for v in rset})
     try:
         best = max_induced_matching(sub, max_nodes=_RECHECK_BUDGET)
     except BudgetExceededError:

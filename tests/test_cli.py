@@ -1,7 +1,15 @@
 from contextlib import redirect_stdout
 from io import StringIO
 
-from indmatch import build_graph, gen_c25, gen_path
+from indmatch import (
+    ReductionStep,
+    build_graph,
+    gen_c25,
+    gen_cycle,
+    gen_path,
+    parse_graph_text,
+)
+from indmatch import engine
 from indmatch.cli import run
 from indmatch.formats import format_graph
 
@@ -165,3 +173,19 @@ def test_fuzz_command(tmp_path, monkeypatch):
 def test_fuzz_usage_errors():
     assert _run(["fuzz", "--trials", "0"])[0] == 4
     assert _run(["fuzz", "--trials", "x"])[0] == 4
+
+
+def test_invariant_violation_leaves_a_replay_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    graph = tmp_path / "c20.txt"
+    graph.write_text(format_graph(gen_cycle(20)))
+    bad = ReductionStep("R5", ((0, 1),), (0, 1))
+    monkeypatch.setattr(engine._Pool, "find_step", lambda pool: bad)
+    code, out = _run(["solve", str(graph)])
+    assert code == 5
+    assert out == ""
+    text = (tmp_path / "invariant-fail.txt").read_text()
+    header = [line for line in text.splitlines() if line.startswith("#")]
+    assert "# rule R5" in header
+    assert "# witness ((0, 1),)" in header
+    assert parse_graph_text(text).n == 20
