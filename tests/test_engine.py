@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -375,4 +376,39 @@ def test_late_rule_certificate_is_pinned():
     text = format_certificate(result)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "162aacb5842b154c442c6470001e79b122d7a7cd95fe8bba7c018319d5b42f1c"
+    )
+
+
+def generalized_petersen(size, k):
+    edges = []
+    for i in range(size):
+        # outer cycle, spoke, inner chord of step k
+        edges.append((i, (i + 1) % size))
+        edges.append((i, size + i))
+        edges.append((size + i, size + (i + k) % size))
+    return edges
+
+
+def test_cycle_and_edge_rules_mid_reduction_are_pinned():
+    # Circulants and generalized Petersen graphs of 19-40 vertices per ring,
+    # laid end to end: R9, R11 and R12 each fire many times after earlier
+    # steps have cut into the graph, so the order in which their queue
+    # heads go live and stale shows up in the digest.
+    edges = []
+    n = 0
+    for size in range(19, 41):
+        for chords in ((1, 2), (1, 3), (2, 5)):
+            edges.extend((u + n, v + n) for u, v in circulant(size, chords))
+            n += size
+        for k in (2, 3):
+            edges.extend((u + n, v + n) for u, v in generalized_petersen(size, k))
+            n += 2 * size
+    g = build_graph(n, edges)
+    assert g.n == 4543
+    result = solve(g)
+    counts = Counter(st.rule for st in result.certificate.steps)
+    assert (counts["R9"], counts["R11"], counts["R12"]) == (22, 44, 44)
+    text = format_certificate(result)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "fe2e4fe0d2d02e1081c465726218ba7838ea3017d43aa85073068de865ab9e98"
     )
