@@ -26,7 +26,7 @@ the replay in harness.verify_certificate cover them.
 """
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .errors import (
     C25ComponentError,
@@ -122,16 +122,18 @@ def solve(g, exact_threshold=EXACT_THRESHOLD):
         matching.extend(st.matched)
     matching.sort()
     result = SolveResult(tuple(matching), Certificate(tuple(steps)), g.n, isolated)
+    problem = None
     if not is_induced_matching(g, result.matching):
-        raise InvariantViolationError(
-            "assembled matching is not induced", rule="final"
-        )
-    if 9 * len(result.matching) < g.n - isolated:
-        raise InvariantViolationError(
+        problem = "assembled matching is not induced"
+    elif 9 * len(result.matching) < g.n - isolated:
+        problem = (
             f"only {len(result.matching)} edges for {g.n} vertices"
-            f" ({isolated} isolated)",
-            rule="final",
+            f" ({isolated} isolated)"
         )
+    if problem:
+        from .formats import format_graph
+
+        raise InvariantViolationError(problem, rule="final", graph_text=format_graph(g))
     return result
 
 
@@ -286,10 +288,11 @@ class _Pool:
     """Mutable working graph plus lazily validated rule-candidate queues.
 
     Degrees only fall and edges only disappear while the pool shrinks, so a
-    vertex enters each degree level at most once and triangles / 4-cycles
-    only die after the one up-front enumeration. Each queue entry is pushed
-    at the event that could first make it fire and re-checked against the
-    live adjacency when popped; stale entries are discarded then.
+    vertex enters each degree level at most once, and a vertex that is the
+    smallest of no triangle, 4-cycle or edge never becomes one again. R9,
+    R11 and R12 queue every vertex up front; every other entry is pushed at
+    the event that could first make it fire. Each rule searches for its
+    witness when the head is popped, and discards a stale head then.
 
     Rule Rk owns queues["Rk"] and the method _rk, which returns None for a
     stale queue head and the step for a live one.
@@ -297,57 +300,18 @@ class _Pool:
 
     def __init__(self, adj):
         self.adj = adj
-        self.queues = {name: [] for name in RULE_NAMES}
+        order = sorted(adj)
+        # A sorted list is already a heap.
+        self.queues = {
+            name: list(order) if name in ("R9", "R11", "R12") else []
+            for name in RULE_NAMES
+        }
         self.rules = tuple(
-            (name, self.queues[name], getattr(self, f"_{name.lower()}"))
+            (self.queues[name], getattr(self, f"_{name.lower()}"))
             for name in RULE_NAMES
         )
-        # anchors[w] lists ends u (with their neighbor v) having w in
-        # N(v) - {u}; two ends meeting at an anchor sit at distance 4
-        # unless their neighbors coincide or touch.
-        self.anchors = {}
-        # Triangles, 4-cycles, and plain edges only ever disappear, so their
-        # queues (R9, R11, R12) are enumerated once, and lazily: a run
-        # dominated by the earlier rules never pays for them.
-        self._static_built = False
-        for v in sorted(adj):
+        for v in order:
             self._push_events(v)
-
-    def _build_static(self):
-        self._static_built = True
-        adj = self.adj
-        r9 = self.queues["R9"]
-        r11 = self.queues["R11"]
-        r12 = self.queues["R12"]
-        for u in sorted(adj):
-            over = sorted(x for x in adj[u] if x > u)
-            for i, v in enumerate(over):
-                av = adj[v]
-                for w in over[i + 1 :]:
-                    if w in av:
-                        r9.append((u, v, w))
-            for v in adj[u]:
-                if u < v:
-                    r12.append((u, v))
-        pair_map = {}
-        for b in sorted(adj):
-            nbrs = sorted(adj[b])
-            for i, p in enumerate(nbrs):
-                for q in nbrs[i + 1 :]:
-                    pair_map.setdefault((p, q), []).append(b)
-        for (p, q), common in pair_map.items():
-            # Cycle x-p-y-q is recorded once, from the diagonal holding its
-            # smallest vertex; (x, p, y, q) is then already the canonical
-            # walk (x smallest, p its smaller cycle-neighbor, y opposite).
-            for i in range(len(common) - 1):
-                x = common[i]
-                if x > p:
-                    continue
-                for y in common[i + 1 :]:
-                    r11.append((x, p, y, q))
-        heapify(r9)
-        heapify(r11)
-        heapify(r12)
 
     # ----- candidate events -------------------------------------------------
 
@@ -371,27 +335,20 @@ class _Pool:
             if u != y and len(adj[u]) == 1:
                 pair = (y, u) if y < u else (u, y)
                 heappush(queues["R2"], (pair[0], pair[1], v))
-        # Anchor sets N(v) - {u} only shrink while an end lives, so any two
-        # ends that ever share an anchor already share it when the younger
-        # one is born; scanning buckets here therefore finds every pair.
-        for w in adj[v]:
+        # R3: while two ends live their neighbors are fixed and common
+        # neighbors only disappear, so a pair that ever qualifies already
+        # does when the younger end appears, and this scan finds it.
+        nv = adj[v]
+        for w in nv:
             if w == y:
                 continue
-            bucket = self.anchors.get(w)
-            if bucket is None:
-                self.anchors[w] = [(y, v)]
-                continue
-            live = []
-            for u2, v2 in bucket:
-                if u2 in adj and len(adj[u2]) == 1:
-                    live.append((u2, v2))
-                    # Neighbors that coincide or touch stay that way until
-                    # one of the ends dies, so those pairs are never viable.
-                    if v2 != v and v2 not in adj[v]:
+            for v2 in adj[w]:
+                if v2 == v or v2 in nv:
+                    continue
+                for u2 in adj[v2]:
+                    if len(adj[u2]) == 1:
                         pair = (y, u2) if y < u2 else (u2, y)
                         heappush(queues["R3"], pair)
-            live.append((y, v))
-            self.anchors[w] = live
 
     def _push_deg2_events(self, y):
         queues = self.queues
@@ -418,17 +375,18 @@ class _Pool:
             if len(self.adj[u]) == 1:
                 heappush(self.queues["R1"], (u, y))
 
-    def _cycle4_through(self, u):
-        """The smallest (p, w, q), p < q, with u-p-w-q-u a 4-cycle, or None."""
+    def _cycle4_through(self, u, above=-1):
+        """The smallest (p, w, q), p < q, with u-p-w-q-u a 4-cycle and
+        p, w, q all above the given id, or None."""
         adj = self.adj
-        nbrs = sorted(adj[u])
+        nbrs = sorted(p for p in adj[u] if p > above)
         return min(
             (
                 (p, w, q)
                 for i, p in enumerate(nbrs)
                 for q in nbrs[i + 1 :]
                 for w in adj[q]
-                if w != u and w in adj[p]
+                if w != u and w > above and w in adj[p]
             ),
             default=None,
         )
@@ -497,9 +455,7 @@ class _Pool:
 
     def find_step(self):
         """The highest-priority rule's step at its smallest live witness."""
-        for name, queue, rule in self.rules:
-            if name == "R9" and not self._static_built:
-                self._build_static()
+        for queue, rule in self.rules:
             while queue:
                 step = rule(queue[0])
                 if step is not None:
@@ -678,15 +634,21 @@ class _Pool:
                         return _step("R8", matched, x | set(iso) | adj[t] | nw)
         raise self.violation("R8", u, "both orientations failed")
 
-    def _r9(self, entry):
-        # Triangle u < v < w: match uv unless too much drops out, in which
-        # case a dropped vertex s pairs with a neighbor r on the side of the
-        # triangle it avoids.
-        u, v, w = entry
+    def _r9(self, u):
+        # Smallest triangle u < v < w: match uv unless too much drops out,
+        # in which case a dropped vertex s pairs with a neighbor r on the
+        # side of the triangle it avoids.
         adj = self.adj
-        if u not in adj or v not in adj or w not in adj:
+        if u not in adj:
             return None
         nu = adj[u]
+        over = sorted(x for x in nu if x > u)
+        pairs = [
+            (v, w) for i, v in enumerate(over) for w in over[i + 1 :] if w in adj[v]
+        ]
+        if not pairs:
+            return None
+        v, w = pairs[0]
         nv = adj[v]
         x = nu | nv
         iso = _isolated(adj, x)
@@ -707,7 +669,7 @@ class _Pool:
                 matched = ((v, w) if r_u else (u, w), (r, s))
                 if _induced(adj, matched):
                     return _step("R9", matched, x | set(iso) | nw | adj[r])
-        raise self.violation("R9", entry, "no pair leaves the triangle")
+        raise self.violation("R9", (u, v, w), "no pair leaves the triangle")
 
     def _r10(self, u):
         # 4-cycle through a degree-3 vertex u, whose off-cycle neighbor v
@@ -737,13 +699,18 @@ class _Pool:
             raise self.violation("R10", witness, f"partner has degree {dv}")
         return self._scope_pair_step("R10", x, iso, witness)
 
-    def _r11(self, entry):
-        # Any remaining 4-cycle (a, b, c, d): match the edge ab, or fall
-        # back to the first induced pair inside the closed scope.
+    def _r11(self, a):
+        # Smallest 4-cycle (a, b, c, d) with a its smallest vertex and b < d
+        # a's cycle neighbors: match the edge ab, or fall back to the first
+        # induced pair inside the closed scope.
         adj = self.adj
-        if not all(x in adj for x in entry):
+        if a not in adj:
             return None
-        a, b, _, _ = entry
+        cycle = self._cycle4_through(a, above=a)
+        if cycle is None:
+            return None
+        entry = (a,) + cycle
+        b = cycle[0]
         x = adj[a] | adj[b]
         iso = _isolated(adj, x)
         if len(iso) <= 1:
@@ -774,13 +741,17 @@ class _Pool:
             )
         return _step(rule, pair, removed)
 
-    def _r12(self, entry):
-        # Base step: minimum degree 3 and girth 5 or more by now, so
-        # deleting any edge's two neighborhoods isolates nothing.
-        u, v = entry
+    def _r12(self, u):
+        # Base step at the smallest edge: minimum degree 3 and girth 5 or
+        # more by now, so deleting any edge's two neighborhoods isolates
+        # nothing.
         adj = self.adj
-        if u not in adj or v not in adj:
+        if u not in adj:
             return None
+        v = min((v for v in adj[u] if v > u), default=None)
+        if v is None:
+            return None
+        entry = (u, v)
         x = adj[u] | adj[v]
         iso = _isolated(adj, x)
         if iso:

@@ -87,13 +87,6 @@ class Graph:
         except KeyError:
             raise UnknownVertexError(f"no vertex {v}") from None
 
-    def has_edge(self, u, v):
-        if u not in self._adj:
-            raise UnknownVertexError(f"no vertex {u}")
-        if v not in self._adj:
-            raise UnknownVertexError(f"no vertex {v}")
-        return v in self._adj[u]
-
     def max_degree(self):
         return max((len(s) for s in self._adj.values()), default=0)
 

@@ -189,3 +189,15 @@ def test_invariant_violation_leaves_a_replay_file(tmp_path, monkeypatch):
     assert "# rule R5" in header
     assert "# witness ((0, 1),)" in header
     assert parse_graph_text(text).n == 20
+
+
+def test_final_check_failure_leaves_a_replay_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    graph = tmp_path / "c20.txt"
+    graph.write_text(format_graph(gen_cycle(20)))
+    monkeypatch.setattr(engine, "is_induced_matching", lambda g, pairs: False)
+    code, out = _run(["solve", str(graph)])
+    assert code == 5
+    text = (tmp_path / "invariant-fail.txt").read_text()
+    assert "# rule final" in text.splitlines()
+    assert parse_graph_text(text).n == 20

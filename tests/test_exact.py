@@ -52,7 +52,7 @@ def test_conflict_graph_matches_definition():
                     continue
                 touching = bool({a, b} & {c, d})
                 joined = any(
-                    g.has_edge(x, y) for x in (a, b) for y in (c, d)
+                    y in g.neighbors(x) for x in (a, b) for y in (c, d)
                 )
                 assert (j in cg.conflicts[i]) == (touching or joined)
 
