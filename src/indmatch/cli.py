@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from .engine import EXACT_THRESHOLD, SolveResult, solve
+from .engine import SolveResult, solve
 from .errors import (
     BudgetExceededError,
     C25ComponentError,
@@ -95,7 +95,7 @@ def _cmd_gen(args):
 def _cmd_solve(args):
     g = parse_graph_file(args.graph)
     started = perf_counter()
-    result = solve(g, exact_threshold=args.threshold)
+    result = solve(g)
     elapsed = perf_counter() - started
     sys.stdout.write(format_matching(result.matching))
     if args.certificate is not None:
@@ -152,7 +152,6 @@ def _cmd_fuzz(args):
         n_min=args.n_min,
         n_max=args.n_max,
         seed=args.seed,
-        cross_check_max_n=args.cross_check_max_n,
     )
     report = fuzz(config)
     for line in report.summary_lines():
@@ -196,11 +195,6 @@ def _build_parser():
 
     p = sub.add_parser("solve", help="reduce a graph to a certified matching")
     p.add_argument("graph", help="graph file")
-    p.add_argument(
-        "--threshold", type=int, default=EXACT_THRESHOLD,
-        help="components this small are solved exactly"
-        f" (default {EXACT_THRESHOLD}, minimum 10)",
-    )
     p.add_argument("--certificate", help="also write the step log here")
     p.set_defaults(func=_cmd_solve)
 
@@ -223,10 +217,6 @@ def _build_parser():
     p.add_argument("--nmin", type=int, default=2, dest="n_min")
     p.add_argument("--nmax", type=int, default=300, dest="n_max")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--cross-check-max-n", type=int, default=20, dest="cross_check_max_n",
-        help="sizes up to this are compared against the exact solver",
-    )
     p.set_defaults(func=_cmd_fuzz)
     return parser
 

@@ -2,9 +2,9 @@
 
 solve() repeatedly deletes a small vertex set while matching one or two of
 its edges, keeping every step inside a fixed exchange rate: nine deleted-or-
-isolated vertices per matched edge. Components that shrink to at most
-EXACT_THRESHOLD vertices are finished by the exact solver instead. The step
-log is returned as a certificate that a replay can check independently.
+isolated vertices per matched edge. Components of at most EXACT_THRESHOLD
+(18, fixed) vertices are finished by the exact solver instead. The step log
+is the certificate that harness.verify_certificate replays.
 
 Twelve reduction rules are tried in a fixed priority order, and within a
 rule the lexicographically smallest witness fires, so a given graph always
@@ -81,7 +81,7 @@ class SolveResult:
     isolated: int
 
 
-def solve(g, exact_threshold=EXACT_THRESHOLD):
+def solve(g):
     """Certified induced matching of at least (n - isolated) / 9 edges.
 
     Raises MaxDegreeExceededError on a vertex of degree five or more,
@@ -89,7 +89,7 @@ def solve(g, exact_threshold=EXACT_THRESHOLD):
     and InvariantViolationError if any internal consistency check fails
     (which would be a bug, not an input problem).
     """
-    _check_input(g, exact_threshold)
+    _check_input(g)
     comps = g.components()
     for comp in comps:
         if len(comp) == 10 and is_isomorphic_c25(g.subgraph(comp)):
@@ -100,19 +100,19 @@ def solve(g, exact_threshold=EXACT_THRESHOLD):
     for comp in comps:
         if len(comp) == 1:
             continue
-        if len(comp) <= exact_threshold:
+        if len(comp) <= EXACT_THRESHOLD:
             steps.append(_exact_step(g.adjacency, comp))
         else:
             for v in comp:
                 pool_adj[v] = set(g.neighbors(v))
     if pool_adj:
-        pool = _Pool(pool_adj)
+        pool = _Pool(pool_adj, g.vertices())
         while pool.adj:
             step = pool.find_step()
             pool.check(step, step.matched)
             survivors = pool.apply(set(step.removed))
             steps.append(step)
-            for comp in pool.split_small(survivors, exact_threshold):
+            for comp in pool.split_small(survivors):
                 estep = _exact_step(pool.adj, comp)
                 pool.check(estep, tuple(comp))
                 pool.apply(set(comp))
@@ -137,32 +137,29 @@ def solve(g, exact_threshold=EXACT_THRESHOLD):
     return result
 
 
-def next_reduction(g, exact_threshold=EXACT_THRESHOLD):
+def next_reduction(g):
     """The one step the engine would take on g, without applying it.
 
-    g must be connected, have more than exact_threshold vertices, and max
+    g must be connected, have more than EXACT_THRESHOLD vertices, and max
     degree at most 4; smaller graphs go straight to the exact solver and
     have no rule step defined.
     """
-    _check_input(g, exact_threshold)
-    if g.n <= exact_threshold:
+    _check_input(g)
+    if g.n <= EXACT_THRESHOLD:
         raise ValueError(
-            f"graph has {g.n} <= {exact_threshold} vertices;"
+            f"graph has {g.n} <= {EXACT_THRESHOLD} vertices;"
             " it belongs to the exact solver"
         )
     if len(g.components()) != 1:
         raise ValueError("graph is not connected")
-    pool = _Pool({v: set(g.neighbors(v)) for v in g.vertices()})
+    ids = g.vertices()
+    pool = _Pool({v: set(g.neighbors(v)) for v in ids}, ids)
     step = pool.find_step()
     pool.check(step, step.matched)
     return step
 
 
-def _check_input(g, exact_threshold):
-    if exact_threshold < 10:
-        raise ValueError(
-            f"exact_threshold must be at least 10, got {exact_threshold}"
-        )
+def _check_input(g):
     for v in g.vertices():
         if g.degree(v) > 4:
             raise MaxDegreeExceededError(v, g.degree(v))
@@ -296,10 +293,14 @@ class _Pool:
 
     Rule Rk owns queues["Rk"] and the method _rk, which returns None for a
     stale queue head and the step for a live one.
+
+    ids are the input's vertex ids; a violation's graph keeps all of them,
+    deleted ones isolated, so its witness names the written graph's ids.
     """
 
-    def __init__(self, adj):
+    def __init__(self, adj, ids):
         self.adj = adj
+        self.ids = ids
         order = sorted(adj)
         # A sorted list is already a heap.
         self.queues = {
@@ -420,8 +421,8 @@ class _Pool:
             self._push_events(y)
         return survivors
 
-    def split_small(self, seeds, threshold):
-        """Components of at most threshold vertices touching the seeds.
+    def split_small(self, seeds):
+        """Components of at most EXACT_THRESHOLD vertices touching the seeds.
 
         Every component that lost a vertex contains a seed, so probing the
         seeds with a size-capped search finds each newly small component;
@@ -441,7 +442,7 @@ class _Pool:
                 for y in adj[x]:
                     if y not in comp_seen:
                         comp_seen.add(y)
-                        if len(comp_seen) > threshold:
+                        if len(comp_seen) > EXACT_THRESHOLD:
                             big = True
                             break
                         stack.append(y)
@@ -475,7 +476,7 @@ class _Pool:
     def violation(self, rule, witness, detail):
         from .formats import format_graph
 
-        snapshot = Graph({v: frozenset(s) for v, s in self.adj.items()})
+        snapshot = Graph({v: frozenset(self.adj.get(v, ())) for v in self.ids})
         return InvariantViolationError(
             detail, rule=rule, witness=witness, graph_text=format_graph(snapshot)
         )

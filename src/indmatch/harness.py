@@ -18,7 +18,7 @@ be replayed in isolation.
 from dataclasses import dataclass
 from time import perf_counter
 
-from .engine import RULE_NAMES, _step_violations
+from .engine import EXACT_THRESHOLD, RULE_NAMES, _step_violations, solve
 from .exact import max_induced_matching
 from .errors import BudgetExceededError
 from .formats import format_graph
@@ -32,11 +32,13 @@ from .graph import Graph, is_isomorphic_c25
 
 _MASK64 = (1 << 64) - 1
 
-# Exact steps are re-solved during replay. Anything a sane threshold can
-# produce is tiny; the cap and budget only guard the checker against
-# maliciously large "components" in hand-written certificates.
-_RECHECK_MAX_VERTICES = 64
+# Exact steps are re-solved during replay. The engine makes none larger
+# than EXACT_THRESHOLD vertices, so a larger one is refused unsearched; the
+# budget is a second guard on what a hand-written certificate can cost.
 _RECHECK_BUDGET = 2_000_000
+
+# Fuzz trials up to this size are also compared against the exact optimum.
+_CROSS_CHECK_MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -178,7 +180,7 @@ def _exact_step_problems(cur, step):
     if len(sub.components()) != 1:
         problems.append("exact removal is not connected")
         return problems
-    if len(rset) > _RECHECK_MAX_VERTICES:
+    if len(rset) > EXACT_THRESHOLD:
         problems.append(
             f"exact component of {len(rset)} vertices is too large to re-check"
         )
@@ -198,14 +200,12 @@ def _exact_step_problems(cur, step):
 
 @dataclass(frozen=True)
 class FuzzConfig:
-    """Shape of a fuzz run. cross_check_max_n caps the sizes that are also
-    compared against the exact solver (at most 24 to keep trials fast)."""
+    """Shape of a fuzz run."""
 
     trials: int = 1000
     n_min: int = 2
     n_max: int = 300
     seed: int = 0
-    cross_check_max_n: int = 20
 
 
 @dataclass(frozen=True)
@@ -255,14 +255,10 @@ def fuzz(config):
     follow it, is recorded as a failure of that trial, so a run surveys the
     whole configured space even if one instance misbehaves.
     """
-    from .engine import solve
-
     if config.trials < 1:
         raise ValueError("trials must be >= 1")
     if not 1 <= config.n_min <= config.n_max:
         raise ValueError("need 1 <= n_min <= n_max")
-    if not 0 <= config.cross_check_max_n <= 24:
-        raise ValueError("cross_check_max_n must be between 0 and 24")
     failures = []
     skipped = 0
     max_seconds = 0.0
@@ -294,7 +290,7 @@ def fuzz(config):
             certificate = verify_certificate(g, result)
             if not certificate.ok:
                 fail("certificate check failed", certificate.details)
-            if n <= config.cross_check_max_n:
+            if n <= _CROSS_CHECK_MAX_N:
                 best = max_induced_matching(g)
                 if len(result.matching) > len(best):
                     fail(

@@ -1,5 +1,8 @@
+import argparse
+import re
 from contextlib import redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 from indmatch import (
     ReductionStep,
@@ -10,7 +13,7 @@ from indmatch import (
     parse_graph_text,
 )
 from indmatch import engine
-from indmatch.cli import run
+from indmatch.cli import _build_parser, run
 from indmatch.formats import format_graph
 
 
@@ -103,12 +106,11 @@ def test_solve_rejects_high_degree(tmp_path):
 
 
 def test_solve_threshold_validation(tmp_path):
+    # The exact-finish size is fixed, so any threshold is a usage error.
     graph = tmp_path / "p20.txt"
     graph.write_text(format_graph(gen_path(20)))
     assert _run(["solve", str(graph), "--threshold", "9"])[0] == 4
-    code, out = _run(["solve", str(graph), "--threshold", "19"])
-    assert code == 0
-    assert len(out.splitlines()) == 7
+    assert _run(["solve", str(graph), "--threshold", "19"])[0] == 4
 
 
 def test_parse_and_io_failures(tmp_path):
@@ -201,3 +203,45 @@ def test_final_check_failure_leaves_a_replay_file(tmp_path, monkeypatch):
     text = (tmp_path / "invariant-fail.txt").read_text()
     assert "# rule final" in text.splitlines()
     assert parse_graph_text(text).n == 20
+
+
+def test_violation_replay_file_keeps_input_ids(tmp_path, monkeypatch):
+    # After the first step the pool has lost 0, 1 and 2; the written graph
+    # must still number vertex 3 as 3, the id the witness names.
+    monkeypatch.chdir(tmp_path)
+    graph = tmp_path / "p40.txt"
+    graph.write_text(format_graph(gen_path(40)))
+    real = engine._Pool.find_step
+    calls = []
+
+    def fail_second_call(pool):
+        calls.append(pool)
+        if len(calls) == 2:
+            raise pool.violation("R4", (3,), "forced failure")
+        return real(pool)
+
+    monkeypatch.setattr(engine._Pool, "find_step", fail_second_call)
+    assert _run(["solve", str(graph)])[0] == 5
+    text = (tmp_path / "invariant-fail.txt").read_text()
+    lines = text.splitlines()
+    assert "# witness (3,)" in lines
+    assert [line for line in lines if not line.startswith("#")][0] == "40 36"
+    assert set(parse_graph_text(text).neighbors(3)) == {4}
+
+
+def test_readme_lists_every_cli_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("Subcommands:", 1)[1].split("Exit codes:", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section))
+    (subparsers,) = (
+        a for a in _build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    offered = {
+        flag
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    assert documented == offered

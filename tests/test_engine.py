@@ -22,6 +22,7 @@ from indmatch import (
     next_reduction,
     parse_graph_text,
     solve,
+    verify_certificate,
 )
 from indmatch import engine
 
@@ -158,6 +159,49 @@ def test_first_step_r11():
     assert step.removed == (0, 1, 2, 3, 4, 17, 18, 19)
 
 
+def shifted_dodecahedron(k):
+    return [(a + k, b + k) for a, b in dodecahedron().edges()]
+
+
+def test_first_step_r9_two_edges():
+    # Deleting N(0) | N(1) isolates 7, 8 and 9, so R9 pays with a second
+    # edge; minimum degree 3 keeps every earlier rule quiet.
+    edges = [
+        (0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (1, 5), (1, 6), (2, 7),
+        (3, 7), (5, 7), (2, 8), (4, 8), (6, 8), (3, 9), (4, 9), (5, 9),
+    ]
+    edges += shifted_dodecahedron(10) + [(3, 10), (4, 15), (5, 20), (6, 25)]
+    g = build_graph(30, edges)
+    step = next_reduction(g)
+    assert step.rule == "R9"
+    assert step.matched == ((1, 2), (3, 9))
+    assert step.removed == tuple(range(11))
+    result = solve(g)
+    assert [s.rule for s in result.certificate.steps] == ["R9", "R8", "EXACT"]
+    assert verify_certificate(g, result).ok
+
+
+def test_first_step_r10_degree3_partner():
+    # 0 lies on the 4-cycle 0-1-6-2 and pairs with its degree-3 neighbor
+    # 3; deleting N(0) | N(3) isolates 6, 7 and 8, which a degree-3
+    # partner may do.
+    edges = [
+        (0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (6, 1), (6, 2), (6, 4),
+        (7, 1), (7, 2), (7, 5), (8, 1), (8, 4), (8, 5),
+    ]
+    edges += shifted_dodecahedron(9) + [(2, 9), (4, 14), (5, 19)]
+    g = build_graph(29, edges)
+    assert g.degree(3) == 3
+    step = next_reduction(g)
+    assert step.rule == "R10"
+    assert step.matched == ((0, 3),)
+    assert step.removed == (0, 1, 2, 3, 4, 5)
+    assert engine._isolated(g.adjacency, set(step.removed)) == [6, 7, 8]
+    result = solve(g)
+    assert [s.rule for s in result.certificate.steps] == ["R10", "R12", "EXACT"]
+    assert verify_certificate(g, result).ok
+
+
 def test_next_reduction_rejects_small_or_disconnected():
     with pytest.raises(ValueError):
         next_reduction(gen_path(10))  # at most the exact threshold
@@ -206,17 +250,6 @@ def test_solve_rejects_degree_five():
         solve(star5)
     assert info.value.vertex == 0
     assert info.value.degree == 5
-
-
-def test_solve_threshold_validation():
-    with pytest.raises(ValueError):
-        solve(gen_path(20), exact_threshold=9)
-    # a larger threshold shifts work to the exact solver but stays optimal
-    result = solve(gen_path(60), exact_threshold=50)
-    assert len(result.matching) == 20
-    assert [s.rule for s in result.certificate.steps] == [
-        "R1", "R1", "R1", "R1", "EXACT",
-    ]
 
 
 def test_solve_handles_isolated_and_components():

@@ -13,6 +13,7 @@ from indmatch import (
     fuzz,
     gen_path,
     gen_random_maxdeg4,
+    max_induced_matching,
     solve,
     verify_certificate,
     verify_solution,
@@ -208,6 +209,34 @@ def test_verify_certificate_refuses_an_oversized_exact():
     )
 
 
+def _single_exact(g):
+    # The whole of g as one EXACT step with its true optimum, so the size
+    # is the only thing wrong with it when g has more than 18 vertices.
+    optimum = max_induced_matching(g)
+    step = ReductionStep("EXACT", optimum, g.vertices())
+    return SolveResult(optimum, Certificate((step,)), g.n, 0)
+
+
+def test_verify_certificate_rechecks_only_threshold_sized_exact(monkeypatch):
+    calls = []
+
+    def counting(g, **kwargs):
+        calls.append(g.n)
+        return max_induced_matching(g, **kwargs)
+
+    small = _single_exact(gen_path(18))
+    big = _single_exact(gen_path(19))
+    monkeypatch.setattr(harness, "max_induced_matching", counting)
+    assert verify_certificate(gen_path(18), small).ok
+    assert calls == [18]
+    report = verify_certificate(gen_path(19), big)
+    assert not report.induced_ok
+    assert report.details == (
+        "step 1 exact component of 19 vertices is too large to re-check",
+    )
+    assert calls == [18]
+
+
 def test_verify_certificate_reports_an_exhausted_recheck(monkeypatch):
     # The exact search on this component visits 69 nodes; a budget of one
     # stops it after two.
@@ -232,10 +261,6 @@ def test_fuzz_config_validation():
         fuzz(FuzzConfig(n_min=0))
     with pytest.raises(ValueError):
         fuzz(FuzzConfig(n_min=10, n_max=5))
-    with pytest.raises(ValueError):
-        fuzz(FuzzConfig(cross_check_max_n=25))
-    with pytest.raises(ValueError):
-        fuzz(FuzzConfig(cross_check_max_n=-1))
 
 
 def test_fuzz_defaults():
@@ -244,7 +269,6 @@ def test_fuzz_defaults():
     assert config.n_min == 2
     assert config.n_max == 300
     assert config.seed == 0
-    assert config.cross_check_max_n == 20
 
 
 def test_fuzz_small_run_passes_and_repeats():
