@@ -445,3 +445,17 @@ def test_cycle_and_edge_rules_mid_reduction_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "fe2e4fe0d2d02e1081c465726218ba7838ea3017d43aa85073068de865ab9e98"
     )
+
+
+def test_pool_path_certificate_is_pinned():
+    # One 20,000-vertex random graph at the CLI's default density: the
+    # reduction cuts off small components mid-run, so which ones
+    # split_small finds and in what order shows up in the digest.
+    g = gen_random_maxdeg4(RandomGraphConfig(20000, 40000, 7))
+    result = solve(g)
+    counts = Counter(st.rule for st in result.certificate.steps)
+    assert counts == {"R1": 3619, "R2": 95, "R3": 241, "R4": 730, "EXACT": 65}
+    text = format_certificate(result)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "fc322549d611e2f00f412c5e29eae3461e7982f93708cb17651091d4dd62fb04"
+    )
