@@ -296,11 +296,18 @@ class _Pool:
 
     ids are the input's vertex ids; a violation's graph keeps all of them,
     deleted ones isolated, so its witness names the written graph's ids.
+
+    big_at maps a vertex to its witness: a list of EXACT_THRESHOLD + 1
+    vertices that one split_small probe found connected. An edge goes only
+    with one of its ends, so a witness stays connected while every member
+    lives, and apply empties it when a member goes; live witnesses are
+    disjoint.
     """
 
     def __init__(self, adj, ids):
         self.adj = adj
         self.ids = ids
+        self.big_at = {}
         order = sorted(adj)
         # A sorted list is already a heap.
         self.queues = {
@@ -400,9 +407,12 @@ class _Pool:
         Returns the survivors, sorted: the boundary vertices that stay, i.e.
         the only places where a component can have shrunk.
         """
+        big_at = self.big_at
         boundary = set()
         for x in removed:
             nbrs = self.adj.pop(x)
+            if x in big_at:
+                big_at.pop(x).clear()
             for y in nbrs:
                 if y not in removed:
                     boundary.add(y)
@@ -415,6 +425,8 @@ class _Pool:
                 survivors.append(y)
             else:
                 del self.adj[y]
+                if y in big_at:
+                    big_at.pop(y).clear()
         # Events fire only after every boundary degree is final, so the
         # degree tests inside the pushes never see half-applied state.
         for y in survivors:
@@ -427,8 +439,15 @@ class _Pool:
         Every component that lost a vertex contains a seed, so probing the
         seeds with a size-capped search finds each newly small component;
         returned sorted, smallest first vertex first.
+
+        A probe ends "big" on reaching a live witness (connected while every
+        member lives; live witnesses are disjoint) or its own
+        EXACT_THRESHOLD + 1-th vertex. Only the latter records a witness,
+        and no vertex it holds is in a live one, so no entry of big_at that
+        points at a live witness is ever overwritten.
         """
         adj = self.adj
+        big_at = self.big_at
         found = []
         seen = set()
         for s in seeds:
@@ -436,14 +455,20 @@ class _Pool:
                 continue
             comp_seen = {s}
             stack = [s]
-            big = False
+            big = bool(big_at.get(s))
             while stack and not big:
                 x = stack.pop()
                 for y in adj[x]:
                     if y not in comp_seen:
+                        if big_at.get(y):
+                            big = True
+                            break
                         comp_seen.add(y)
                         if len(comp_seen) > EXACT_THRESHOLD:
                             big = True
+                            witness = list(comp_seen)
+                            for v in witness:
+                                big_at[v] = witness
                             break
                         stack.append(y)
             seen |= comp_seen

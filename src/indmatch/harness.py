@@ -8,7 +8,7 @@ tile the graph exactly and assemble into the reported matching.
 The replay is not independent of the engine. It checks each step with the
 engine's own _step_violations, and it re-solves EXACT steps with the same
 max_induced_matching that produced them, so a bug in either would pass
-unseen (ROADMAP item 4). verify_solution shares no code with the engine.
+unseen (ROADMAP item 2). verify_solution shares no code with the engine.
 
 The fuzz loop is fully deterministic: trial t of a run with master seed s
 derives its own seed by one splitmix64 step from s + t, so any failure can

@@ -459,3 +459,80 @@ def test_pool_path_certificate_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "fc322549d611e2f00f412c5e29eae3461e7982f93708cb17651091d4dd62fb04"
     )
+
+
+def _small_components_oracle(adj, seeds):
+    comps = []
+    seen = set()
+    for s in seeds:
+        if s in adj and s not in seen:
+            comp = _oracles.reachable(adj, s)
+            seen |= comp
+            if len(comp) <= engine.EXACT_THRESHOLD:
+                comps.append(sorted(comp))
+    return sorted(comps)
+
+
+def _assert_witnesses_sound(pool):
+    # No entry outlives its vertex; every live witness is 19 pool vertices
+    # that induce a connected graph, each mapped to that same list, so
+    # witnesses are pairwise disjoint and deleting any member reaches it.
+    assert pool.big_at.keys() <= pool.adj.keys()
+    live = {id(w): w for w in pool.big_at.values() if w}
+    for w in live.values():
+        assert len(w) == engine.EXACT_THRESHOLD + 1
+        assert all(pool.big_at[v] is w for v in w)
+        inside = set(w)
+        sub = {v: pool.adj[v] & inside for v in w}
+        assert _oracles.reachable(sub, w[0]) == inside
+
+
+def _reduce_checking_split_small(g):
+    """solve's reduction loop, with split_small and the witnesses checked
+    against the live pool after every step; returns how many small
+    components split_small found."""
+    pool_adj = {}
+    for comp in g.components():
+        if len(comp) > engine.EXACT_THRESHOLD:
+            for v in comp:
+                pool_adj[v] = set(g.neighbors(v))
+    pool = engine._Pool(pool_adj, g.vertices())
+    split = 0
+    while pool.adj:
+        step = pool.find_step()
+        pool.check(step, step.matched)
+        survivors = pool.apply(set(step.removed))
+        found = pool.split_small(survivors)
+        assert found == _small_components_oracle(pool.adj, survivors)
+        split += len(found)
+        for comp in found:
+            estep = engine._exact_step(pool.adj, comp)
+            pool.check(estep, tuple(comp))
+            pool.apply(set(comp))
+        _assert_witnesses_sound(pool)
+    return split
+
+
+def test_split_small_matches_oracle_through_whole_reductions():
+    split = 0
+    for n, per_vertex, seed in (
+        (200, 1, 11), (200, 4, 12), (500, 2, 13), (700, 3, 14),
+        (1000, 1, 15), (1000, 4, 16), (2000, 2, 17),
+    ):
+        g = gen_random_maxdeg4(RandomGraphConfig(n, per_vertex * n, seed))
+        split += _reduce_checking_split_small(g)
+    assert split > 0
+
+
+def test_split_small_returns_a_piece_cut_from_a_live_witness():
+    # On a path the first probe from 0 proves {0..18} big. Deleting 10
+    # leaves 0..9 as a 10-vertex component inside that witness, which the
+    # next probe must report instead of trusting the witness.
+    path = gen_path(40)
+    pool = engine._Pool({v: set(path.neighbors(v)) for v in range(40)}, range(40))
+    assert pool.split_small([0]) == []
+    assert sorted(pool.big_at[0]) == list(range(19))
+    survivors = pool.apply({10})
+    assert survivors == [9, 11]
+    assert pool.split_small(survivors) == [list(range(10))]
+    _assert_witnesses_sound(pool)
