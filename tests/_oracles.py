@@ -126,3 +126,72 @@ def is_induced_matching_ref(adjacency, pairs):
                     if y in adjacency[x]:
                         return False
     return True
+
+
+class RefParseError(Exception):
+    """A rejection by parse_graph_ref: kind names the package exception the
+    parser must raise for the same text, message its exact message."""
+
+    def __init__(self, kind, message):
+        super().__init__(kind, message)
+        self.kind = kind
+        self.message = message
+
+
+def parse_graph_ref(text):
+    """Graph-file text -> (n, adjacency), written out plainly.
+
+    adjacency maps every id 0..n-1 to its neighbour set. The file is
+    checked as a whole before any edge is: every format problem (header,
+    line shape, edge-line count) is reported before an edge that is out of
+    range, a self-loop or a duplicate.
+    """
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            rows.append((lineno, line))
+    if not rows:
+        raise RefParseError("FormatError", "empty graph file")
+
+    def two_ints(lineno, line, what):
+        parts = line.split()
+        if len(parts) != 2:
+            raise RefParseError(
+                "FormatError", f"line {lineno}: expected two integers for {what}"
+            )
+        try:
+            return int(parts[0]), int(parts[1])
+        except ValueError:
+            raise RefParseError(
+                "FormatError", f"line {lineno}: {what} is not numeric"
+            ) from None
+
+    lineno, header = rows[0]
+    n, m = two_ints(lineno, header, "the graph header")
+    if n < 0 or m < 0:
+        raise RefParseError("FormatError", f"line {lineno}: negative count in header")
+    edges = []
+    for lineno, line in rows[1:]:
+        if len(edges) == m:
+            raise RefParseError(
+                "FormatError", f"line {lineno}: more than {m} edge lines"
+            )
+        edges.append(two_ints(lineno, line, "an edge"))
+    if len(edges) != m:
+        raise RefParseError(
+            "FormatError", f"expected {m} edge lines, found {len(edges)}"
+        )
+    adjacency = {v: set() for v in range(n)}
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise RefParseError(
+                "IdOutOfRangeError", f"edge {u}-{v} outside 0..{n - 1}"
+            )
+        if u == v:
+            raise RefParseError("SelfLoopError", f"self-loop at {u}")
+        if v in adjacency[u]:
+            raise RefParseError("DuplicateEdgeError", f"edge {u}-{v} given twice")
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return n, adjacency
