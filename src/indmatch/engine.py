@@ -104,7 +104,7 @@ def solve(g):
             steps.append(_exact_step(g.adjacency, comp))
         else:
             for v in comp:
-                pool_adj[v] = set(g.neighbors(v))
+                pool_adj[v] = g.neighbors(v)
     if pool_adj:
         pool = _Pool(pool_adj, g.vertices())
         while pool.adj:
@@ -153,7 +153,7 @@ def next_reduction(g):
     if len(g.components()) != 1:
         raise ValueError("graph is not connected")
     ids = g.vertices()
-    pool = _Pool({v: set(g.neighbors(v)) for v in ids}, ids)
+    pool = _Pool(dict(g.adjacency), ids)
     step = pool.find_step()
     pool.check(step, step.matched)
     return step
@@ -302,6 +302,10 @@ class _Pool:
     with one of its ends, so a witness stays connected while every member
     lives, and apply empties it when a member goes; live witnesses are
     disjoint.
+
+    adj starts out holding the input graph's own frozensets, shared and not
+    copied. apply rebinds a shrunk vertex to a new frozenset and nothing
+    mutates one, so the input graph never changes under the pool.
     """
 
     def __init__(self, adj, ids):
@@ -418,6 +422,7 @@ class _Pool:
                     boundary.add(y)
         ordered = sorted(boundary)
         for y in ordered:
+            # Rebinds to a new frozenset; the old one may be the input's.
             self.adj[y] -= removed
         survivors = []
         for y in ordered:

@@ -68,14 +68,18 @@ def parse_graph_text(text):
     n, m = _two_ints(header, lineno, "the graph header")
     if n < 0 or m < 0:
         raise FormatError(f"line {lineno}: negative count in header")
-    edges = []
+    # Edge ends in one flat list: no tuple per edge. Every line is read
+    # before build_graph sees an edge, so a format error anywhere in the
+    # file wins over a bad edge before it.
+    ends = []
     for lineno, line in lines:
-        if len(edges) == m:
+        if len(ends) == 2 * m:
             raise FormatError(f"line {lineno}: more than {m} edge lines")
-        edges.append(_two_ints(line, lineno, "an edge"))
-    if len(edges) != m:
-        raise FormatError(f"expected {m} edge lines, found {len(edges)}")
-    return build_graph(n, edges)
+        ends.extend(_two_ints(line, lineno, "an edge"))
+    if len(ends) != 2 * m:
+        raise FormatError(f"expected {m} edge lines, found {len(ends) // 2}")
+    it = iter(ends)
+    return build_graph(n, zip(it, it))
 
 
 def parse_graph_file(path):

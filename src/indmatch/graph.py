@@ -139,10 +139,16 @@ def build_graph(n, edges):
 
     Rejects self-loops, duplicate edges (in either orientation), and
     endpoints outside the id range.
+
+    Each id is one int object: the neighbour sets hold the graph's own key
+    objects, not the caller's ints, and each set is frozen and dropped in
+    turn, so a set and its frozen copy are never both held for every vertex.
     """
     if n < 0:
         raise IdOutOfRangeError(f"vertex count {n} is negative")
-    adj = {v: set() for v in range(n)}
+    # A list, not the range: indexing a range makes a new int every time.
+    ids = list(range(n))
+    adj = [set() for _ in ids]
     for u, v in edges:
         if not (0 <= u < n) or not (0 <= v < n):
             raise IdOutOfRangeError(f"edge {u}-{v} outside 0..{n - 1}")
@@ -150,11 +156,16 @@ def build_graph(n, edges):
             raise SelfLoopError(f"self-loop at {u}")
         if v in adj[u]:
             raise DuplicateEdgeError(f"edge {u}-{v} given twice")
-        adj[u].add(v)
-        adj[v].add(u)
-    frozen = {v: frozenset(s) for v, s in adj.items()}
-    m = sum(len(s) for s in frozen.values()) // 2
-    return Graph._trusted(frozen, m)
+        adj[u].add(ids[v])
+        adj[v].add(ids[u])
+    frozen = {}
+    half_edges = 0
+    for v in ids:
+        nbrs = frozenset(adj[v])
+        adj[v] = None
+        frozen[v] = nbrs
+        half_edges += len(nbrs)
+    return Graph._trusted(frozen, half_edges // 2)
 
 
 def is_induced_matching(g, pairs):

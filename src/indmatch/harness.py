@@ -104,10 +104,15 @@ def verify_solution(g, matching):
 
 
 def verify_certificate(g, result):
-    """Replay a solve log step by step and re-check every claim it makes."""
+    """Replay a solve log step by step and re-check every claim it makes.
+
+    The replay graph starts out holding g's own frozensets, shared and not
+    copied; a removal rebinds each shrunk vertex to a new frozenset and never
+    mutates one, so g is left as it was.
+    """
     structure = []
     accounting = []
-    cur = {v: set(g.neighbors(v)) for v in g.vertices()}
+    cur = dict(g.adjacency)
     pre_isolated = sorted(v for v in cur if not cur[v])
     for v in pre_isolated:
         del cur[v]
@@ -144,6 +149,7 @@ def verify_certificate(g, result):
                 if y not in rset:
                     boundary.add(y)
         for y in boundary:
+            # Rebinds to a new frozenset; the old one may be g's.
             cur[y] -= rset
             if not cur[y]:
                 del cur[y]

@@ -8,12 +8,14 @@ from indmatch import (
     SplitMix64,
     UnknownVertexError,
     build_graph,
+    format_graph,
     gen_c25,
     gen_path,
     gen_random_maxdeg4,
     gen_tight9,
     is_induced_matching,
     is_isomorphic_c25,
+    parse_graph_text,
 )
 from indmatch.generators import RandomGraphConfig
 
@@ -49,6 +51,24 @@ def test_build_graph_rejects_bad_edges():
         build_graph(2, [(-1, 0)])
     with pytest.raises(IdOutOfRangeError):
         build_graph(-1, [])
+
+
+def _neighbours_are_key_objects(g):
+    own = {v: v for v in g.adjacency}
+    return all(own[u] is u for nbrs in g.adjacency.values() for u in nbrs)
+
+
+def test_each_id_is_one_int_object():
+    # The graph's memory footprint rests on this, and no digest would show
+    # its loss: every neighbour id is the graph's own key object for that
+    # vertex, not an int made while parsing. CPython caches ints up to 256
+    # only, so on 2,000 vertices a copy shows.
+    g = gen_random_maxdeg4(
+        RandomGraphConfig(n=2000, extra_edge_attempts=4000, seed=5)
+    )
+    assert _neighbours_are_key_objects(parse_graph_text(format_graph(g)))
+    fresh = [(int(str(u)), int(str(v))) for u, v in g.edges()]
+    assert _neighbours_are_key_objects(build_graph(g.n, fresh))
 
 
 def test_graph_constructor_validates():
