@@ -5,9 +5,9 @@ byte-identical across runs with the same arguments; anything timed or
 diagnostic goes to stderr.
 
 Exit codes: 0 success, 2 max degree exceeded, 3 excluded component in the
-input, 4 usage or parse failure, 5 internal invariant violation, 6 checks
-found failures, 7 search budget exhausted. Fuzz failures and invariant
-violations also leave a replay file in the working directory.
+input, 4 usage or parse failure or out of memory, 5 internal invariant
+violation, 6 checks found failures, 7 search budget exhausted. Fuzz failures
+and invariant violations also leave a replay file in the working directory.
 """
 
 import argparse
@@ -259,6 +259,12 @@ def run(argv=None):
         return EXIT_INVARIANT
     except (FormatError, IndmatchError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # A short file can still ask for too much: the header "50000000 0"
+        # is a legal graph of fifty million isolated vertices. What the
+        # failed command allocated is freed once its frames are gone.
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -1,8 +1,13 @@
 import argparse
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
+
+import pytest
 
 from indmatch import (
     ReductionStep,
@@ -123,6 +128,32 @@ def test_parse_and_io_failures(tmp_path):
     assert _run(["frobnicate"])[0] == 4
     assert _run(["--help"])[0] == 0
     assert _run(["solve", "--help"])[0] == 0
+
+
+def test_huge_header_exits_4_without_a_traceback(tmp_path):
+    # An 11-byte file names fifty million isolated vertices, a legal graph
+    # that does not fit under a 1 GiB address-space limit. The limit is set
+    # on the child alone.
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    graph = tmp_path / "huge.txt"
+    graph.write_text("50000000 0\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "indmatch.cli", "solve", str(graph)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=limit_memory,
+    )
+    assert run.returncode == 4
+    assert run.stderr == "error: out of memory\n"
+    assert run.stdout == ""
 
 
 def test_exact_command(tmp_path):
