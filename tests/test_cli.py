@@ -276,3 +276,44 @@ def test_readme_lists_every_cli_flag():
         if flag.startswith("--") and flag != "--help"
     }
     assert documented == offered
+
+
+def _verify_stdout(tmp_path, graph, matching, cert):
+    paths = []
+    for name, text in (("g.txt", graph), ("m.txt", matching), ("c.txt", cert)):
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    return _run(["verify", *paths[:2], "--certificate", paths[2]])
+
+
+def test_verify_stdout_bytes_for_failing_inputs(tmp_path):
+    p4 = format_graph(gen_path(4))
+    # The matching file and the certificate hold the same bad matching: its
+    # problems print once for the file and again in the certificate report.
+    assert _verify_stdout(
+        tmp_path, p4, "0 1\n2 3\n",
+        "step 1 rule R2 match 0-1,2-3 remove 0,1,2,3\nmatching 0-1,2-3\n",
+    ) == (6, (
+        "edge 1-2 joins two matched pairs\n"
+        "edge 1-2 joins two matched pairs\n"
+        "step 1 matched edges (0, 1) and (2, 3) touch via 1-2\n"
+    ))
+    p20 = format_graph(gen_path(20))
+    cert = (
+        "step 1 rule R1 match 0-1 remove 0,1,2\n"
+        "step 2 rule EXACT match 3-4,6-7,9-10,12-13,15-16,18-19"
+        " remove 3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19\n"
+        "matching 0-1,3-4,6-7,9-10,12-13,15-16,18-19\n"
+    )
+    good = "".join(f"{a} {a + 1}\n" for a in (0, 3, 6, 9, 12, 15, 18))
+    assert _verify_stdout(tmp_path, p20, good, cert) == (0, "ok\n")
+    assert _verify_stdout(tmp_path, p20, "0 1\n", cert) == (6, (
+        "9*1 matched < 20 vertices - 0 isolated\n"
+        "certificate matching differs from the matching file\n"
+    ))
+    tampered = cert.replace("remove 0,1,2\n", "remove 0,1\n")
+    assert _verify_stdout(tmp_path, p20, good, tampered) == (6, (
+        "step 1 neighbor 2 of matched endpoint 1 survives\n"
+        "step 2 exact removal is not a whole component (edges to [2])\n"
+        "step 2 neighbor 2 of matched endpoint 3 survives\n"
+    ))

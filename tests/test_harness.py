@@ -306,3 +306,116 @@ def test_fuzz_records_a_check_that_raises(monkeypatch):
     assert report.summary_lines()[2:] == [
         "failures 1", f"trial 0 seed {failure.seed} check raised RuntimeError",
     ]
+
+
+def _forged(g, *steps):
+    """A result whose matching is what its steps claim: (rule, matched,
+    removed) triples, replayed in order."""
+    steps = tuple(ReductionStep(*s) for s in steps)
+    matching = tuple(sorted(p for s in steps for p in s.matched))
+    isolated = sum(1 for nbrs in g.adjacency.values() if not nbrs)
+    return SolveResult(matching, Certificate(steps), g.n, isolated)
+
+
+def _replay_outcome(g, *steps):
+    report = verify_certificate(g, _forged(g, *steps))
+    return report.induced_ok, report.bound_ok, report.details
+
+
+# Each rejection path of the replay's step check, with its exact message and
+# the one flag it clears. The rest of each certificate is valid, so a problem
+# filed under the wrong flag shows.
+
+def test_replay_refuses_a_repeated_removal():
+    assert _replay_outcome(
+        gen_path(6), ("R1", ((0, 1),), (0, 1, 1, 2)), ("R1", ((3, 4),), (3, 4, 5)),
+    ) == (False, True, ("step 1 removes unavailable or repeated vertices",))
+
+
+def test_replay_refuses_an_absent_removed_vertex():
+    assert _replay_outcome(
+        gen_path(6), ("R1", ((0, 1),), (0, 1, 2, 99)), ("R1", ((3, 4),), (3, 4, 5)),
+    ) == (False, True, ("step 1 removes unavailable or repeated vertices",))
+    # A vertex that an earlier step already removed is absent too.
+    assert _replay_outcome(
+        gen_path(6), ("R1", ((0, 1),), (0, 1, 2)), ("R1", ((3, 4),), (2, 3, 4, 5)),
+    ) == (False, True, ("step 2 removes unavailable or repeated vertices",))
+
+
+def test_replay_flags_a_matched_edge_on_a_missing_vertex():
+    assert _replay_outcome(
+        gen_path(6), ("R1", ((0, 9),), (0, 1, 2)), ("R1", ((3, 4),), (3, 4, 5)),
+    ) == (False, True, (
+        "pair 0-9 uses a vertex the graph lacks",
+        "step 1 matched edge 0-9 uses a missing vertex",
+    ))
+
+
+def test_replay_flags_a_matched_pair_that_is_not_an_edge():
+    assert _replay_outcome(
+        gen_path(6), ("R1", ((0, 2),), (0, 1, 2)), ("R1", ((3, 4),), (3, 4, 5)),
+    ) == (False, True, (
+        "pair 0-2 is not an edge",
+        "step 1 matched pair 0-2 is not an edge",
+    ))
+
+
+def test_replay_flags_an_endpoint_that_is_not_removed():
+    # Vertex 1 is left behind; both its neighbours go, so it is isolated.
+    assert _replay_outcome(
+        gen_path(6), ("R1", ((0, 1),), (0, 2)), ("R1", ((3, 4),), (3, 4, 5)),
+    ) == (False, True, (
+        "step 1 neighbor 1 of matched endpoint 0 survives",
+        "step 1 matched endpoint 1 is not removed",
+    ))
+
+
+def test_replay_flags_a_neighbour_that_survives():
+    assert _replay_outcome(
+        gen_path(6), ("R1", ((0, 1),), (0, 1)), ("R1", ((3, 4),), (2, 3, 4, 5)),
+    ) == (False, True, ("step 1 neighbor 2 of matched endpoint 1 survives",))
+
+
+def test_replay_flags_matched_edges_that_touch():
+    assert _replay_outcome(
+        gen_path(5), ("R2", ((0, 1), (2, 3)), (0, 1, 2, 3, 4)),
+    ) == (False, True, (
+        "edge 1-2 joins two matched pairs",
+        "step 1 matched edges (0, 1) and (2, 3) touch via 1-2",
+    ))
+    assert _replay_outcome(
+        gen_path(5), ("R2", ((0, 1), (1, 2)), (0, 1, 2, 3, 4)),
+    ) == (False, True, (
+        "vertex 1 appears in two matched pairs",
+        "edge 1-2 joins two matched pairs",
+        "step 1 matched edges share endpoints",
+        "step 1 matched edges (0, 1) and (1, 2) touch via 0-1",
+        "step 1 matched edges (0, 1) and (1, 2) touch via 1-2",
+    ))
+
+
+def test_replay_flags_an_unpaid_rule_step():
+    # Path 0..9 plus the edge 10-11. Step 1 removes 0..8 and leaves 9
+    # isolated: ten vertices for one edge. The whole matching meets the bound.
+    g = build_graph(12, [(i, i + 1) for i in range(9)] + [(10, 11)])
+    assert _replay_outcome(
+        g, ("R1", ((0, 1),), tuple(range(9))), ("EXACT", ((10, 11),), (10, 11)),
+    ) == (True, False, ("step 1 9*1 matched < 9 removed + 1 isolated",))
+
+
+def test_replay_on_a_graph_with_isolated_vertices():
+    g = build_graph(23, [(i, i + 1) for i in range(19)])  # 20, 21, 22 isolated
+    result = solve(g)
+    assert result.isolated == 3
+    assert verify_certificate(g, result).details == ()
+    report = verify_certificate(g, _tampered(result, isolated=2))
+    assert (report.induced_ok, report.bound_ok) == (False, True)
+    assert report.details == ("result says 2 isolated vertices, the graph has 3",)
+    # An isolated vertex is never in the replay graph, so no step removes it.
+    first, second = result.certificate.steps
+    widened = ReductionStep(second.rule, second.matched, second.removed + (20,))
+    report = verify_certificate(
+        g, _tampered(result, certificate=Certificate((first, widened)))
+    )
+    assert (report.induced_ok, report.bound_ok) == (False, True)
+    assert report.details == ("step 2 removes unavailable or repeated vertices",)
