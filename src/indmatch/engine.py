@@ -318,8 +318,10 @@ class _Pool:
             name: list(order) if name in ("R9", "R11", "R12") else []
             for name in RULE_NAMES
         }
+        # The class's functions, not bound methods: a bound method held here
+        # would make a reference cycle, which only the cyclic GC frees.
         self.rules = tuple(
-            (self.queues[name], getattr(self, f"_{name.lower()}"))
+            (self.queues[name], getattr(_Pool, f"_{name.lower()}"))
             for name in RULE_NAMES
         )
         for v in order:
@@ -488,7 +490,7 @@ class _Pool:
         """The highest-priority rule's step at its smallest live witness."""
         for queue, rule in self.rules:
             while queue:
-                step = rule(queue[0])
+                step = rule(self, queue[0])
                 if step is not None:
                     return step
                 heappop(queue)

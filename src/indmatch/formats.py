@@ -25,24 +25,6 @@ from .errors import FormatError
 from .graph import build_graph
 
 
-def _content_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
-
-
-def _two_ints(line, lineno, what):
-    parts = line.split()
-    if len(parts) != 2:
-        raise FormatError(f"line {lineno}: expected two integers for {what}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise FormatError(f"line {lineno}: {what} is not numeric") from None
-
-
 def format_graph(g):
     ids = g.vertices()
     if ids and (ids[0] != 0 or ids[-1] != len(ids) - 1):
@@ -60,23 +42,49 @@ def format_graph(g):
 
 
 def parse_graph_text(text):
-    lines = _content_lines(text)
+    # One pass over the lines, the header loop handing its iterator on to the
+    # edge loop. A well-formed edge line costs one split and two int calls;
+    # blank, comment and malformed lines all land in the except branch.
+    lines = enumerate(text.splitlines(), 1)
+    for lineno, raw in lines:
+        parts = raw.split()
+        if parts and not parts[0].startswith("#"):
+            break
+    else:
+        raise FormatError("empty graph file")
+    if len(parts) != 2:
+        raise FormatError(
+            f"line {lineno}: expected two integers for the graph header"
+        )
     try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise FormatError("empty graph file") from None
-    n, m = _two_ints(header, lineno, "the graph header")
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise FormatError(f"line {lineno}: the graph header is not numeric") from None
     if n < 0 or m < 0:
         raise FormatError(f"line {lineno}: negative count in header")
     # Edge ends in one flat list: no tuple per edge. Every line is read
     # before build_graph sees an edge, so a format error anywhere in the
     # file wins over a bad edge before it.
     ends = []
-    for lineno, line in lines:
-        if len(ends) == 2 * m:
+    limit = 2 * m
+    for lineno, raw in lines:
+        try:
+            u, v = raw.split()
+            u, v = int(u), int(v)
+        except ValueError:
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            u = None
+        if len(ends) == limit:
             raise FormatError(f"line {lineno}: more than {m} edge lines")
-        ends.extend(_two_ints(line, lineno, "an edge"))
-    if len(ends) != 2 * m:
+        if u is None:
+            if len(parts) != 2:
+                raise FormatError(f"line {lineno}: expected two integers for an edge")
+            raise FormatError(f"line {lineno}: an edge is not numeric")
+        ends.append(u)
+        ends.append(v)
+    if len(ends) != limit:
         raise FormatError(f"expected {m} edge lines, found {len(ends) // 2}")
     it = iter(ends)
     return build_graph(n, zip(it, it))
@@ -93,8 +101,19 @@ def format_matching(matching):
 
 def parse_matching_text(text):
     pairs = []
-    for lineno, line in _content_lines(text):
-        a, b = _two_ints(line, lineno, "a matched pair")
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        try:
+            a, b = raw.split()
+            a, b = int(a), int(b)
+        except ValueError:
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) != 2:
+                raise FormatError(
+                    f"line {lineno}: expected two integers for a matched pair"
+                ) from None
+            raise FormatError(f"line {lineno}: a matched pair is not numeric") from None
         pairs.append((a, b) if a < b else (b, a))
     return tuple(sorted(pairs))
 
@@ -105,26 +124,6 @@ def parse_matching_file(path):
 
 def _format_pairs(pairs):
     return ",".join(f"{a}-{b}" for a, b in pairs)
-
-
-def _parse_pairs(token, lineno):
-    pairs = []
-    for part in token.split(","):
-        bits = part.split("-")
-        if len(bits) != 2:
-            raise FormatError(f"line {lineno}: bad pair '{part}'")
-        try:
-            pairs.append((int(bits[0]), int(bits[1])))
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad pair '{part}'") from None
-    return tuple(pairs)
-
-
-def _parse_ids(token, lineno):
-    try:
-        return tuple(int(part) for part in token.split(","))
-    except ValueError:
-        raise FormatError(f"line {lineno}: bad id list '{token}'") from None
 
 
 def format_certificate(result):
@@ -146,36 +145,51 @@ def parse_certificate_text(text):
     """Certificate text -> (Certificate, matching)."""
     steps = []
     matching = None
-    for lineno, line in _content_lines(text):
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
         if matching is not None:
             raise FormatError(f"line {lineno}: content after the matching line")
-        parts = line.split()
         if parts[0] == "matching":
             if len(parts) == 1:
                 matching = ()
-            elif len(parts) == 2:
-                matching = tuple(sorted(_parse_pairs(parts[1], lineno)))
-            else:
+                continue
+            if len(parts) != 2:
                 raise FormatError(f"line {lineno}: malformed matching line")
-            continue
-        if len(parts) != 8 or (
-            parts[0], parts[2], parts[4], parts[6]
-        ) != ("step", "rule", "match", "remove"):
-            raise FormatError(f"line {lineno}: malformed step line")
+            rule, token = None, parts[1]
+        else:
+            if len(parts) != 8 or (
+                parts[0], parts[2], parts[4], parts[6]
+            ) != ("step", "rule", "match", "remove"):
+                raise FormatError(f"line {lineno}: malformed step line")
+            try:
+                k = int(parts[1])
+            except ValueError:
+                raise FormatError(f"line {lineno}: bad step number") from None
+            if k != len(steps) + 1:
+                raise FormatError(
+                    f"line {lineno}: step {k} out of order,"
+                    f" expected {len(steps) + 1}"
+                )
+            rule, token = parts[3], parts[5]
+            if rule not in STEP_KINDS:
+                raise FormatError(f"line {lineno}: unknown rule '{rule}'")
+        pairs = []
         try:
-            k = int(parts[1])
+            for part in token.split(","):
+                a, b = part.split("-")
+                pairs.append((int(a), int(b)))
         except ValueError:
-            raise FormatError(f"line {lineno}: bad step number") from None
-        if k != len(steps) + 1:
-            raise FormatError(
-                f"line {lineno}: step {k} out of order, expected {len(steps) + 1}"
-            )
-        rule = parts[3]
-        if rule not in STEP_KINDS:
-            raise FormatError(f"line {lineno}: unknown rule '{rule}'")
-        matched = _parse_pairs(parts[5], lineno)
-        removed = _parse_ids(parts[7], lineno)
-        steps.append(ReductionStep(rule, matched, removed))
+            raise FormatError(f"line {lineno}: bad pair '{part}'") from None
+        if rule is None:
+            matching = tuple(sorted(pairs))
+            continue
+        try:
+            removed = tuple(map(int, parts[7].split(",")))
+        except ValueError:
+            raise FormatError(f"line {lineno}: bad id list '{parts[7]}'") from None
+        steps.append(ReductionStep(rule, tuple(pairs), removed))
     if matching is None:
         raise FormatError("certificate has no final matching line")
     return Certificate(tuple(steps)), matching

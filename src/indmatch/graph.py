@@ -66,12 +66,6 @@ class Graph:
         """Read-only view of the underlying id -> neighbor-set mapping."""
         return MappingProxyType(self._adj)
 
-    def __contains__(self, v):
-        return v in self._adj
-
-    def __repr__(self):
-        return f"Graph(n={self.n}, m={self.m})"
-
     def vertices(self):
         return tuple(sorted(self._adj))
 

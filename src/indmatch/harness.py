@@ -5,10 +5,11 @@ every step must be a valid paid-for removal at the moment it runs, exact
 steps must remove a whole component and match optimally, and the steps must
 tile the graph exactly and assemble into the reported matching.
 
-The replay is not independent of the engine. It checks each step with the
-engine's own _step_violations, and it re-solves EXACT steps with the same
-max_induced_matching that produced them, so a bug in either would pass
-unseen (ROADMAP item 2). verify_solution shares no code with the engine.
+The replay checks each step with its own code, in the same pass that
+deletes the step's vertices. What it still shares with the engine is the
+exact solver: it re-solves EXACT steps with the same max_induced_matching
+that produced them, so a bug there would pass unseen (ROADMAP item 2).
+verify_solution shares no code with the engine.
 
 The fuzz loop is fully deterministic: trial t of a run with master seed s
 derives its own seed by one splitmix64 step from s + t, so any failure can
@@ -18,7 +19,7 @@ be replayed in isolation.
 from dataclasses import dataclass
 from time import perf_counter
 
-from .engine import EXACT_THRESHOLD, RULE_NAMES, _step_violations, solve
+from .engine import EXACT_THRESHOLD, RULE_NAMES, solve
 from .exact import max_induced_matching
 from .errors import BudgetExceededError
 from .formats import format_graph
@@ -91,7 +92,7 @@ def verify_solution(g, matching):
                     conflicts.add((min(x, y), max(x, y)))
     for x, y in sorted(conflicts):
         structure.append(f"edge {x}-{y} joins two matched pairs")
-    isolated = sum(1 for v in adj if not adj[v])
+    isolated = sum(1 for nbrs in adj.values() if not nbrs)
     accounting = []
     if 9 * len(tuple(matching)) < g.n - isolated:
         accounting.append(
@@ -110,10 +111,16 @@ def verify_certificate(g, result):
     copied; a removal rebinds each shrunk vertex to a new frozenset and never
     mutates one, so g is left as it was.
     """
+    return _replay_report(g, result, verify_solution(g, result.matching))
+
+
+def _replay_report(g, result, solution):
+    """verify_certificate's report, given solution, the report of
+    verify_solution(g, result.matching); the CLI passes in the one it has."""
     structure = []
     accounting = []
     cur = dict(g.adjacency)
-    pre_isolated = sorted(v for v in cur if not cur[v])
+    pre_isolated = [v for v, nbrs in cur.items() if not nbrs]
     for v in pre_isolated:
         del cur[v]
     if result.n != g.n:
@@ -126,8 +133,7 @@ def verify_certificate(g, result):
     replayed = True
     for k, step in enumerate(result.certificate.steps, 1):
         rset = set(step.removed)
-        missing = sorted(x for x in rset if x not in cur)
-        if missing or len(rset) != len(step.removed):
+        if len(rset) != len(step.removed) or not cur.keys() >= rset:
             structure.append(
                 f"step {k} removes unavailable or repeated vertices"
             )
@@ -138,21 +144,11 @@ def verify_certificate(g, result):
                 structure.append(f"step {k} {msg}")
         elif step.rule not in RULE_NAMES:
             structure.append(f"step {k} names unknown rule {step.rule}")
-        for kind, msg in _step_violations(cur, step.matched, step.removed):
+        for kind, msg in _check_step(cur, step.matched, rset):
             if kind == "structure":
                 structure.append(f"step {k} {msg}")
             else:
                 accounting.append(f"step {k} {msg}")
-        boundary = set()
-        for x in rset:
-            for y in cur.pop(x):
-                if y not in rset:
-                    boundary.add(y)
-        for y in boundary:
-            # Rebinds to a new frozenset; the old one may be g's.
-            cur[y] -= rset
-            if not cur[y]:
-                del cur[y]
     if replayed and cur:
         structure.append(f"{len(cur)} vertices are never processed")
     if replayed:
@@ -161,11 +157,76 @@ def verify_certificate(g, result):
             structure.append(
                 "step matchings do not assemble into the reported matching"
             )
-    solution = verify_solution(g, result.matching)
-    structure_ok = solution.induced_ok and not structure
-    bound_ok = solution.bound_ok and not accounting
-    details = tuple(solution.details) + tuple(structure) + tuple(accounting)
-    return VerifyReport(structure_ok, bound_ok, details)
+    return VerifyReport(
+        solution.induced_ok and not structure,
+        solution.bound_ok and not accounting,
+        solution.details + tuple(structure) + tuple(accounting),
+    )
+
+
+def _check_step(cur, matched, rset):
+    """Check one step against the replay graph cur, and delete rset, its
+    removed vertices, from cur in the same pass.
+
+    Every vertex of rset must be in cur. Returns (kind, message) pairs, kind
+    being 'structure' for matching-shape problems and 'accounting' for the
+    nine-per-edge bound: the same list the engine's own step check gives.
+    """
+    problems = []
+    endpoints = [x for pair in matched for x in pair]
+    if len(set(endpoints)) != len(endpoints):
+        problems.append(("structure", "matched edges share endpoints"))
+    usable = []
+    for a, b in matched:
+        if a not in cur or b not in cur:
+            problems.append(
+                ("structure", f"matched edge {a}-{b} uses a missing vertex")
+            )
+        elif b not in cur[a]:
+            problems.append(("structure", f"matched pair {a}-{b} is not an edge"))
+        else:
+            usable.append((a, b))
+    for i, e in enumerate(usable):
+        for f in usable[i + 1 :]:
+            for x in e:
+                for y in f:
+                    if y in cur[x]:
+                        problems.append((
+                            "structure",
+                            f"matched edges {e} and {f} touch via {x}-{y}",
+                        ))
+    for a, b in usable:
+        for x in (a, b):
+            if x not in rset:
+                problems.append(
+                    ("structure", f"matched endpoint {x} is not removed")
+                )
+            if cur[x] <= rset:  # the usual case: no neighbour survives
+                continue
+            for y in cur[x]:
+                if y not in rset:
+                    problems.append((
+                        "structure",
+                        f"neighbor {y} of matched endpoint {x} survives",
+                    ))
+    boundary = set()
+    for x in rset:
+        boundary.update(cur.pop(x))
+    boundary -= rset
+    isolated = 0
+    for y in boundary:
+        # Rebinds to a new frozenset; the old one may be g's.
+        cur[y] -= rset
+        if not cur[y]:
+            del cur[y]
+            isolated += 1
+    if 9 * len(matched) < len(rset) + isolated:
+        problems.append((
+            "accounting",
+            f"9*{len(matched)} matched < {len(rset)} removed"
+            f" + {isolated} isolated",
+        ))
+    return problems
 
 
 def _exact_step_problems(cur, step):
@@ -303,7 +364,7 @@ def fuzz(config):
                         "matching exceeds the optimum",
                         (f"{len(result.matching)} > {len(best)}",),
                     )
-                isolated = sum(1 for v in g.vertices() if g.degree(v) == 0)
+                isolated = sum(1 for nbrs in g.adjacency.values() if not nbrs)
                 if 9 * len(best) < g.n - isolated:
                     fail(
                         "optimum below the guarantee",

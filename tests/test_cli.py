@@ -1,4 +1,5 @@
 import argparse
+import gc
 import os
 import re
 import subprocess
@@ -10,16 +11,23 @@ from pathlib import Path
 import pytest
 
 from indmatch import (
+    FuzzConfig,
+    RandomGraphConfig,
     ReductionStep,
     build_graph,
+    fuzz,
     gen_c25,
     gen_cycle,
     gen_path,
+    gen_random_maxdeg4,
+    parse_certificate_text,
     parse_graph_text,
+    solve,
+    verify_certificate,
 )
 from indmatch import engine
 from indmatch.cli import _build_parser, run
-from indmatch.formats import format_graph
+from indmatch.formats import format_certificate, format_graph
 
 
 def _run(argv):
@@ -317,3 +325,57 @@ def test_verify_stdout_bytes_for_failing_inputs(tmp_path):
         "step 2 exact removal is not a whole component (edges to [2])\n"
         "step 2 neighbor 2 of matched endpoint 3 survives\n"
     ))
+
+
+@pytest.mark.parametrize("enabled", (True, False))
+def test_run_pauses_the_gc_and_restores_its_state(tmp_path, monkeypatch, enabled):
+    monkeypatch.chdir(tmp_path)
+    graph = tmp_path / "c20.txt"
+    graph.write_text(format_graph(gen_cycle(20)))
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 1\n0 one\n")
+    matching = tmp_path / "m.txt"
+    matching.write_text("0 1\n1 2\n")
+    during = []
+
+    def unpaid_step(pool):
+        during.append(gc.isenabled())
+        return ReductionStep("R5", ((0, 1),), (0, 1))
+
+    cases = (
+        (0, ["gen", "--family", "path", "--n", "5"]),
+        (4, ["solve", str(bad)]),
+        (6, ["verify", str(graph), str(matching)]),
+        (5, ["solve", str(graph)]),
+    )
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for code, argv in cases:
+            if code == 5:
+                monkeypatch.setattr(engine._Pool, "find_step", unpaid_step)
+            assert _run(argv)[0] == code
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert during == [False]
+
+
+def test_commands_leave_no_cyclic_garbage():
+    # Commands run with the cyclic GC paused, so whatever they drop must be
+    # freed by reference counting alone.
+    g = gen_random_maxdeg4(RandomGraphConfig(n=300, extra_edge_attempts=600, seed=5))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        parsed = parse_graph_text(format_graph(g))
+        result = solve(parsed)
+        cert, matching = parse_certificate_text(format_certificate(result))
+        assert verify_certificate(parsed, result).ok
+        assert fuzz(FuzzConfig(trials=5, n_min=20, n_max=60, seed=2)).ok
+        del parsed, result, cert, matching
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
