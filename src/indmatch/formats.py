@@ -42,7 +42,7 @@ def format_graph(g):
 
 
 def parse_graph_text(text):
-    # One pass over the lines, the header loop handing its iterator on to the
+    # One pass over the lines: the header loop hands its iterator on to the
     # edge loop. A well-formed edge line costs one split and two int calls;
     # blank, comment and malformed lines all land in the except branch.
     lines = enumerate(text.splitlines(), 1)
@@ -75,7 +75,7 @@ def parse_graph_text(text):
             parts = raw.split()
             if not parts or parts[0].startswith("#"):
                 continue
-            u = None
+            u = None  # malformed, but a surplus line is reported as such
         if len(ends) == limit:
             raise FormatError(f"line {lineno}: more than {m} edge lines")
         if u is None:
