@@ -132,6 +132,8 @@ def _cmd_verify(args):
     if args.certificate is not None:
         cert, cert_matching = parse_certificate_file(args.certificate)
         if cert_matching == matching:
+            # Keep one copy of the pairs, and the report already made on it.
+            cert_matching = matching
             solution = report
         else:
             print("certificate matching differs from the matching file")
