@@ -351,6 +351,12 @@ def test_validate_step():
     assert _problems(p30, ReductionStep("R1", ((0, 2),), (0, 1, 2, 3)))
     # neighbor of a matched endpoint must not survive
     assert _problems(p30, ReductionStep("R1", ((0, 1),), (0, 1)))
+    assert _problems(p30, ReductionStep("R1", ((0, 1),), (0, 1, 1, 2))) == [
+        "removed list repeats a vertex"
+    ]
+    assert _problems(p30, ReductionStep("R1", ((0, 1),), (0, 1, 2, 99))) == [
+        "removed vertex 99 is not present"
+    ]
 
     # solve rejects C25 up front; were it ever finished exactly mid-reduction,
     # this check would refuse the step as unpaid
