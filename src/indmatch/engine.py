@@ -575,7 +575,10 @@ class _Pool:
             return None
         (v1,) = adj[u1]
         (v2,) = adj[u2]
-        if v1 == v2 or v1 in adj[v2] or adj[v1].isdisjoint(adj[v2]):
+        # v1 and v2 are distinct and apart: _push_end_events never queues a
+        # pair whose neighbours are equal or adjacent, an end keeps its one
+        # neighbour while it lives, and edges never appear.
+        if adj[v1].isdisjoint(adj[v2]):
             return None
         removed = {v1, v2} | adj[v1] | adj[v2]
         return _step("R3", ((u1, v1), (u2, v2)), removed)

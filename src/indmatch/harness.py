@@ -6,10 +6,11 @@ steps must remove a whole component and match optimally, and the steps must
 tile the graph exactly and assemble into the reported matching.
 
 The replay checks each step with its own code, in the same pass that
-deletes the step's vertices. What it still shares with the engine is the
-exact solver: it re-solves EXACT steps with the same max_induced_matching
-that produced them, so a bug there would pass unseen (ROADMAP item 2).
-verify_solution shares no code with the engine.
+deletes the step's vertices. It does not share the engine's exact solver:
+an EXACT step that matched k edges is re-checked by a search over vertices
+that must find k edges and refute k + 1, where the engine searched over
+edges. verify_solution shares no code with the engine either. The exact
+solver serves only fuzz, which compares small trials with the optimum.
 
 The fuzz loop is fully deterministic: trial t of a run with master seed s
 derives its own seed by one splitmix64 step from s + t, so any failure can
@@ -29,13 +30,14 @@ from .generators import (
     gen_random_maxdeg4,
     splitmix64_next,
 )
-from .graph import Graph, is_isomorphic_c25
+from .graph import is_isomorphic_c25
 
 _MASK64 = (1 << 64) - 1
 
-# Exact steps are re-solved during replay. The engine makes none larger
-# than EXACT_THRESHOLD vertices, so a larger one is refused unsearched; the
-# budget is a second guard on what a hand-written certificate can cost.
+# Exact steps are re-checked during replay by the vertex search of
+# _has_induced_matching. The engine makes none larger than EXACT_THRESHOLD
+# vertices, so a larger one is refused unsearched; the budget is a second
+# guard on what a hand-written certificate can cost.
 _RECHECK_BUDGET = 2_000_000
 
 # Fuzz trials up to this size are also compared against the exact optimum.
@@ -243,8 +245,17 @@ def _exact_step_problems(cur, step):
             f"exact removal is not a whole component (edges to {leaks[:4]})"
         )
         return problems
-    sub = Graph({v: frozenset(cur[v]) for v in rset})
-    if len(sub.components()) != 1:
+    # No edge leaves rset, so a search over cur from any one of its vertices
+    # stays inside it. A set, not a bitmask: a forged step may be huge.
+    start = next(iter(rset))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in cur[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    if len(seen) != len(rset):
         problems.append("exact removal is not connected")
         return problems
     if len(rset) > EXACT_THRESHOLD:
@@ -252,17 +263,78 @@ def _exact_step_problems(cur, step):
             f"exact component of {len(rset)} vertices is too large to re-check"
         )
         return problems
+    order = sorted(rset)
+    index = {v: i for i, v in enumerate(order)}
+    nbrs = []
+    for v in order:
+        mask = 0
+        for y in cur[v]:
+            mask |= 1 << index[y]
+        nbrs.append(mask)
+    full = (1 << len(order)) - 1
+    k = len(step.matched)
+    budget = [0]
     try:
-        best = max_induced_matching(sub, max_nodes=_RECHECK_BUDGET)
+        if _has_induced_matching(nbrs, full, k, budget):
+            best = k
+            while _has_induced_matching(nbrs, full, best + 1, budget):
+                best += 1
+        else:
+            best = k - 1
+            while not _has_induced_matching(nbrs, full, best, budget):
+                best -= 1
     except BudgetExceededError:
         problems.append("exact component re-check ran out of search budget")
         return problems
-    if len(best) != len(step.matched):
+    if best != k:
         problems.append(
-            f"exact step matched {len(step.matched)} edges,"
-            f" the optimum is {len(best)}"
+            f"exact step matched {k} edges, the optimum is {best}"
         )
     return problems
+
+
+def _has_induced_matching(nbrs, full, need, budget):
+    """Whether the vertices in mask full hold an induced matching of need
+    edges; nbrs[i] is the neighbour mask of vertex i.
+
+    The search branches on the lowest vertex v left in the mask: match v to
+    a neighbour u still in the mask and delete N[u] | N[v], or drop v. A
+    mask with fewer than 2*need vertices fails at once, and a mask that
+    failed for some need is not searched again for that need or more.
+
+    budget is a one-item list, the nodes popped so far by this and earlier
+    searches of the same step. Each call pops one; popping more than
+    _RECHECK_BUDGET raises BudgetExceededError.
+    """
+    return _search(nbrs, {}, budget, full, need)
+
+
+def _search(nbrs, failed, budget, mask, need):
+    # One node of _has_induced_matching's search; failed maps a mask to the
+    # least need it failed for. A module function, not a closure: a closure
+    # that calls itself is a reference cycle, and while the CLI pauses the
+    # cyclic GC that would keep every search's memo alive.
+    budget[0] += 1
+    if budget[0] > _RECHECK_BUDGET:
+        raise BudgetExceededError(budget[0], _RECHECK_BUDGET)
+    if need <= 0:
+        return True
+    if mask.bit_count() < 2 * need or failed.get(mask, need + 1) <= need:
+        return False
+    low = mask & -mask
+    v = low.bit_length() - 1
+    closed_v = nbrs[v] | low
+    cand = nbrs[v] & mask
+    while cand:
+        u = cand & -cand
+        cand ^= u
+        rest = mask & ~(closed_v | nbrs[u.bit_length() - 1] | u)
+        if _search(nbrs, failed, budget, rest, need - 1):
+            return True
+    if _search(nbrs, failed, budget, mask ^ low, need):
+        return True
+    failed[mask] = need
+    return False
 
 
 @dataclass(frozen=True)

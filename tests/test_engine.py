@@ -202,6 +202,59 @@ def test_first_step_r10_degree3_partner():
     assert verify_certificate(g, result).ok
 
 
+# Each core fires its rule first as a two-edge step, through the branch
+# named beside it; the rest of the 30 or 31 vertices is a shifted
+# dodecahedron, tied to the core by the edges that leave 0..9 (0..10 for
+# R10).
+TWO_EDGE_WITNESSES = {
+    # R2's fallback: the center's spare neighbours 3 and 4 carry pendants.
+    "R2": (
+        [(0, 2), (1, 2), (2, 3), (2, 4), (3, 5), (3, 6), (3, 7), (4, 8),
+         (4, 9), (4, 10)],
+        10, ((3, 5), (4, 8)), tuple(range(11)),
+    ),
+    # R7's fallback: a dropped vertex reaches back into N(v).
+    "R7": (
+        [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 6), (5, 6),
+         (4, 7), (5, 7), (2, 8), (4, 8), (3, 9), (5, 9), (2, 10), (3, 15)],
+        10, ((0, 2), (4, 6)), tuple(range(11)),
+    ),
+    # R8's fallback: a dropped vertex reaches N(v) while missing w.
+    "R8": (
+        [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (3, 6), (4, 6), (5, 6),
+         (2, 7), (3, 7), (2, 8), (4, 8), (2, 9), (5, 9), (3, 10), (4, 15),
+         (5, 20)],
+        10, ((0, 2), (3, 6)), tuple(range(11)),
+    ),
+    # R11's fallback, through _scope_pair_step.
+    "R11": (
+        [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (0, 5), (1, 6), (1, 7),
+         (3, 8), (4, 8), (6, 8), (7, 8), (2, 9), (5, 9), (6, 9), (7, 9),
+         (2, 12), (3, 15), (4, 18), (4, 21), (5, 24), (5, 27), (6, 10),
+         (7, 13)],
+        10, ((0, 3), (6, 9)), tuple(range(11)) + (15,),
+    ),
+    # R10 with a degree-4 partner, through _scope_pair_step.
+    "R10": (
+        [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7),
+         (1, 8), (3, 8), (6, 8), (7, 8), (1, 9), (5, 9), (6, 9), (7, 9),
+         (3, 10), (5, 10), (6, 10), (7, 10), (2, 14), (2, 25)],
+        11, ((0, 1), (5, 10)), tuple(range(11)),
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(TWO_EDGE_WITNESSES))
+def test_first_step_two_edge_witness(rule):
+    core, shift, matched, removed = TWO_EDGE_WITNESSES[rule]
+    g = build_graph(20 + shift, core + shifted_dodecahedron(shift))
+    step = next_reduction(g)
+    assert step.rule == rule
+    assert step.matched == matched
+    assert step.removed == removed
+    assert verify_certificate(g, solve(g)).ok
+
+
 def test_next_reduction_rejects_small_or_disconnected():
     with pytest.raises(ValueError):
         next_reduction(gen_path(10))  # at most the exact threshold

@@ -123,7 +123,24 @@ def test_verify_certificate_catches_suboptimal_exact():
     )
     report = verify_certificate(g, bad)
     assert not report.ok
-    assert any("the optimum is" in d for d in report.details)
+    assert "step 2 exact step matched 5 edges, the optimum is 6" in report.details
+
+
+def test_verify_certificate_catches_an_exact_step_above_the_optimum():
+    g = gen_path(20)
+    result = solve(g)
+    first, second = result.certificate.steps
+    inflated = ReductionStep(
+        "EXACT", second.matched + ((17, 18),), second.removed
+    )
+    bad = _tampered(
+        result,
+        certificate=Certificate((first, inflated)),
+        matching=first.matched + inflated.matched,
+    )
+    report = verify_certificate(g, bad)
+    assert not report.induced_ok
+    assert "step 2 exact step matched 7 edges, the optimum is 6" in report.details
 
 
 def test_verify_certificate_catches_corrupted_matching():
@@ -219,27 +236,29 @@ def _single_exact(g):
 
 def test_verify_certificate_rechecks_only_threshold_sized_exact(monkeypatch):
     calls = []
+    search = harness._has_induced_matching
 
-    def counting(g, **kwargs):
-        calls.append(g.n)
-        return max_induced_matching(g, **kwargs)
+    def counting(nbrs, full, need, budget):
+        calls.append(len(nbrs))
+        return search(nbrs, full, need, budget)
 
     small = _single_exact(gen_path(18))
     big = _single_exact(gen_path(19))
-    monkeypatch.setattr(harness, "max_induced_matching", counting)
+    monkeypatch.setattr(harness, "_has_induced_matching", counting)
     assert verify_certificate(gen_path(18), small).ok
-    assert calls == [18]
+    # One search finds the claimed size, one refutes a size one larger.
+    assert calls == [18, 18]
     report = verify_certificate(gen_path(19), big)
     assert not report.induced_ok
     assert report.details == (
         "step 1 exact component of 19 vertices is too large to re-check",
     )
-    assert calls == [18]
+    assert calls == [18, 18]
 
 
 def test_verify_certificate_reports_an_exhausted_recheck(monkeypatch):
-    # The exact search on this component visits 69 nodes; a budget of one
-    # stops it after two.
+    # The re-check of this component pops 260 nodes, finding 4 edges and
+    # refuting 5; a budget of one stops it at the second.
     g = gen_random_maxdeg4(
         RandomGraphConfig(n=18, extra_edge_attempts=72, seed=18)
     )

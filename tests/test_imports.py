@@ -1,6 +1,8 @@
-"""Every name a package module imports must be read somewhere in it.
+"""Import hygiene of the package modules.
 
-__init__.py is skipped: its imports are the package's re-exports.
+Every name a package module imports must be read somewhere in it;
+__init__.py is skipped, its imports are the package's re-exports. And the
+certificate replay in harness.py must not reach the engine's exact solver.
 """
 
 import ast
@@ -41,3 +43,38 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert _unused_imports(module.read_text()) == []
+
+
+def _references_outside(source, name, function):
+    """Line numbers where name is read anywhere but inside the top-level
+    function of that name, as a bare name or as an attribute."""
+    tree = ast.parse(source)
+    allowed = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            allowed.update(id(sub) for sub in ast.walk(node))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in allowed
+        and (
+            (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+        )
+    )
+
+
+def test_checker_flags_a_reference_outside_the_function():
+    source = (
+        "from x import f\n"
+        "def fuzz():\n    return f()\n"
+        "def replay():\n    return f(), x.f\n"
+    )
+    assert _references_outside(source, "f", "fuzz") == [5, 5]
+
+
+def test_replay_does_not_call_the_exact_solver():
+    # The certificate replay re-checks EXACT steps with its own search; the
+    # engine's solver serves only fuzz's cross-check against the optimum.
+    source = (PACKAGE / "harness.py").read_text()
+    assert _references_outside(source, "max_induced_matching", "fuzz") == []
