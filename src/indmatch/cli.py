@@ -54,10 +54,11 @@ EXIT_CHECKS_FAILED = 6
 EXIT_BUDGET = 7
 
 
-def _write_repro(name, header, graph_text):
-    """Write a replay file: '# key value' header lines, then the graph."""
+def _write_repro(name, header, graph):
+    """Write a replay file: '# key value' header lines, then the graph, if any."""
     lines = "".join(f"# {key} {value}\n" for key, value in header)
-    (Path.cwd() / name).write_text(lines + graph_text)
+    body = "" if graph is None else format_graph(graph)
+    (Path.cwd() / name).write_text(lines + body)
 
 
 def _write_out(text, out):
@@ -171,7 +172,7 @@ def _cmd_fuzz(args):
                 ("trial", failure.trial),
                 ("seed", failure.seed),
             ),
-            failure.graph_text,
+            failure.graph,
         )
         for detail in failure.details:
             print(f"trial {failure.trial}: {detail}", file=sys.stderr)
@@ -263,7 +264,7 @@ def run(argv=None):
                     ("rule", exc.rule),
                     ("witness", exc.witness),
                 ),
-                exc.graph_text or "",
+                exc.graph,
             )
         except OSError as write_exc:
             print(f"error: could not write invariant-fail.txt: {write_exc}",

@@ -131,9 +131,7 @@ def solve(g):
             f" ({isolated} isolated)"
         )
     if problem:
-        from .formats import format_graph
-
-        raise InvariantViolationError(problem, rule="final", graph_text=format_graph(g))
+        raise InvariantViolationError(problem, rule="final", graph=g)
     return result
 
 
@@ -506,12 +504,8 @@ class _Pool:
             )
 
     def violation(self, rule, witness, detail):
-        from .formats import format_graph
-
-        snapshot = Graph({v: frozenset(self.adj.get(v, ())) for v in self.ids})
-        return InvariantViolationError(
-            detail, rule=rule, witness=witness, graph_text=format_graph(snapshot)
-        )
+        snapshot = Graph({v: self.adj.get(v, ()) for v in self.ids})
+        return InvariantViolationError(detail, rule, witness, graph=snapshot)
 
 
     # ----- the rules, in priority order --------------------------------------

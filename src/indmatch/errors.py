@@ -68,13 +68,14 @@ class InvariantViolationError(IndmatchError):
 
     This is the "should never happen" error: it means a reduction step failed
     validation on a graph the engine accepted. The offending rule, witness,
-    and a serialized copy of the graph being reduced ride along for debugging.
+    and the graph being reduced ride along for debugging: the live graph with
+    its deleted vertices left isolated, or the input graph for rule 'final'.
     """
 
-    def __init__(self, detail, rule=None, witness=None, graph_text=None):
+    def __init__(self, detail, rule=None, witness=None, graph=None):
         msg = detail if rule is None else f"{rule}: {detail}"
         super().__init__(msg)
         self.detail = detail
         self.rule = rule
         self.witness = witness
-        self.graph_text = graph_text
+        self.graph = graph

@@ -8,7 +8,7 @@ induced matching sits exactly on interesting boundaries.
 
 from dataclasses import dataclass
 
-from .graph import Graph, build_graph
+from .graph import _freeze, build_graph
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -134,14 +134,16 @@ def _gen_random_capped(config, cap):
     if config.extra_edge_attempts < 0:
         raise ValueError("extra_edge_attempts must be >= 0")
     prng = SplitMix64(config.seed)
-    adj = {v: set() for v in range(n)}
+    # The sets hold the graph's own id objects, as build_graph's do.
+    ids = list(range(n))
+    adj = [set() for _ in ids]
     for v in range(1, n):
         while True:
             u = prng.below(v)
             if len(adj[u]) < cap:
                 break
-        adj[u].add(v)
-        adj[v].add(u)
+        adj[u].add(ids[v])
+        adj[v].add(ids[u])
     for _ in range(config.extra_edge_attempts):
         u = prng.below(n)
         v = prng.below(n)
@@ -149,8 +151,6 @@ def _gen_random_capped(config, cap):
             continue
         if len(adj[u]) >= cap or len(adj[v]) >= cap:
             continue
-        adj[u].add(v)
-        adj[v].add(u)
-    frozen = {v: frozenset(s) for v, s in adj.items()}
-    m = sum(len(s) for s in frozen.values()) // 2
-    return Graph._trusted(frozen, m)
+        adj[u].add(ids[v])
+        adj[v].add(ids[u])
+    return _freeze(ids, adj)

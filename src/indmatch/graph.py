@@ -152,6 +152,13 @@ def build_graph(n, edges):
             raise DuplicateEdgeError(f"edge {u}-{v} given twice")
         adj[u].add(ids[v])
         adj[v].add(ids[u])
+    return _freeze(ids, adj)
+
+
+def _freeze(ids, adj):
+    """The graph on ids whose neighbour sets are adj[v], each frozen and
+    dropped in turn; the sets must hold the ids' own objects and form a
+    valid simple graph."""
     frozen = {}
     half_edges = 0
     for v in ids:

@@ -14,7 +14,8 @@ solver serves only fuzz, which compares small trials with the optimum.
 
 The fuzz loop is fully deterministic: trial t of a run with master seed s
 derives its own seed by one splitmix64 step from s + t, so any failure can
-be replayed in isolation.
+be replayed in isolation. A failure carries the trial's Graph itself; the
+command line writes it out as a replay file.
 """
 
 from dataclasses import dataclass
@@ -23,14 +24,13 @@ from time import perf_counter
 from .engine import EXACT_THRESHOLD, RULE_NAMES, solve
 from .exact import max_induced_matching
 from .errors import BudgetExceededError
-from .formats import format_graph
 from .generators import (
     RandomGraphConfig,
     SplitMix64,
     gen_random_maxdeg4,
     splitmix64_next,
 )
-from .graph import is_isomorphic_c25
+from .graph import Graph, is_isomorphic_c25
 
 _MASK64 = (1 << 64) - 1
 
@@ -188,15 +188,26 @@ def _check_step(cur, matched, rset):
             problems.append(("structure", f"matched pair {a}-{b} is not an edge"))
         else:
             usable.append((a, b))
-    for i, e in enumerate(usable):
-        for f in usable[i + 1 :]:
-            for x in e:
-                for y in f:
-                    if y in cur[x]:
-                        problems.append((
-                            "structure",
-                            f"matched edges {e} and {f} touch via {x}-{y}",
-                        ))
+    if len(usable) > 1:
+        # Touching pairs through the endpoints' owners, not every pair of
+        # pairs: a forged step may match thousands of edges. Sorted as the
+        # pairwise loop would meet them: by pair indices, then by position.
+        owner = {}
+        for j, f in enumerate(usable):
+            for y in f:
+                owner.setdefault(y, []).append(j)
+        touches = []
+        for i, e in enumerate(usable):
+            for p, x in enumerate(e):
+                for y in cur[x]:
+                    for j in owner.get(y, ()):
+                        if j > i:
+                            touches.append((i, j, p, usable[j].index(y)))
+        for i, j, p, q in sorted(touches):
+            e, f = usable[i], usable[j]
+            problems.append((
+                "structure", f"matched edges {e} and {f} touch via {e[p]}-{f[q]}"
+            ))
     for a, b in usable:
         for x in (a, b):
             if x not in rset:
@@ -354,7 +365,7 @@ class FuzzFailure:
     trial: int
     seed: int
     kind: str
-    graph_text: str
+    graph: Graph
     details: tuple = ()
 
 
@@ -415,7 +426,7 @@ def fuzz(config):
 
         def fail(kind, details=()):
             failures.append(
-                FuzzFailure(trial, derived, kind, format_graph(g), tuple(details))
+                FuzzFailure(trial, derived, kind, g, tuple(details))
             )
 
         started = perf_counter()

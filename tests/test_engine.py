@@ -20,7 +20,6 @@ from indmatch import (
     is_induced_matching,
     max_induced_matching,
     next_reduction,
-    parse_graph_text,
     solve,
     verify_certificate,
 )
@@ -255,6 +254,41 @@ def test_first_step_two_edge_witness(rule):
     assert verify_certificate(g, solve(g)).ok
 
 
+# R9 on the triangle 0-1-2, where deleting N(0) | N(1) isolates three
+# vertices: its pair search skips each dropped vertex s on w = 2, then each
+# r of the triangle's other neighbours that s misses or that sits on both 0
+# and 1. Core, shift, what N(0) | N(1) isolates, the step's matched pairs.
+R9_SKIP_WITNESSES = {
+    # 7 is on w; 8 misses r = 3, then pairs with 4.
+    "r missed": (
+        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 5), (1, 6), (2, 7),
+         (4, 7), (4, 8), (4, 9), (5, 7), (5, 8), (5, 9), (6, 8), (6, 9),
+         (3, 24), (3, 28)],
+        10, [7, 8, 9], ((1, 2), (4, 8)),
+    ),
+    # 6 and 7 are on w; r = 3 is on both 0 and 1, then 8 pairs with 4.
+    "r on both": (
+        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 6),
+         (2, 7), (3, 8), (4, 6), (4, 7), (4, 8), (5, 6), (5, 7), (5, 8),
+         (3, 28)],
+        9, [6, 7, 8], ((1, 2), (4, 8)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(R9_SKIP_WITNESSES))
+def test_first_step_r9_skip_witness(name):
+    core, shift, iso, matched = R9_SKIP_WITNESSES[name]
+    g = build_graph(20 + shift, core + shifted_dodecahedron(shift))
+    near = {0, 1} | g.neighbors(0) | g.neighbors(1)
+    assert engine._isolated(g.adjacency, near) == iso
+    step = next_reduction(g)
+    assert step.rule == "R9"
+    assert step.matched == matched
+    assert step.removed == tuple(range(shift))
+    assert verify_certificate(g, solve(g)).ok
+
+
 def test_next_reduction_rejects_small_or_disconnected():
     with pytest.raises(ValueError):
         next_reduction(gen_path(10))  # at most the exact threshold
@@ -353,7 +387,7 @@ def test_solve_refuses_an_invalid_rule_step(monkeypatch, removed):
         solve(gen_cycle(20))
     assert info.value.rule == "R5"
     assert info.value.witness == ((0, 1),)
-    assert parse_graph_text(info.value.graph_text).n == 20
+    assert info.value.graph.n == 20
 
 
 def test_solve_exact_on_small_components():

@@ -66,6 +66,7 @@ def test_each_id_is_one_int_object():
     g = gen_random_maxdeg4(
         RandomGraphConfig(n=2000, extra_edge_attempts=4000, seed=5)
     )
+    assert _neighbours_are_key_objects(g)
     assert _neighbours_are_key_objects(parse_graph_text(format_graph(g)))
     fresh = [(int(str(u)), int(str(v))) for u, v in g.edges()]
     assert _neighbours_are_key_objects(build_graph(g.n, fresh))

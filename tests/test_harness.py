@@ -1,4 +1,5 @@
 import dataclasses
+from time import perf_counter
 
 import pytest
 
@@ -223,6 +224,26 @@ def test_verify_certificate_refuses_an_oversized_exact():
     assert not report.induced_ok
     assert report.details == (
         "step 1 exact component of 70 vertices is too large to re-check",
+    )
+
+
+def test_verify_certificate_refuses_a_huge_exact_in_linear_time():
+    # The step check finds touching pairs through their endpoints, so the
+    # 13,333 pairs of this forged step are not compared pairwise.
+    g = gen_path(40_000)
+    pairs = tuple((3 * i, 3 * i + 1) for i in range(13_333))
+    forged = SolveResult(
+        pairs,
+        Certificate((ReductionStep("EXACT", pairs, g.vertices()),)),
+        g.n,
+        0,
+    )
+    started = perf_counter()
+    report = verify_certificate(g, forged)
+    assert perf_counter() - started < 10
+    assert not report.ok
+    assert report.details == (
+        "step 1 exact component of 40000 vertices is too large to re-check",
     )
 
 

@@ -1,8 +1,10 @@
 """Import hygiene of the package modules.
 
 Every name a package module imports must be read somewhere in it;
-__init__.py is skipped, its imports are the package's re-exports. And the
-certificate replay in harness.py must not reach the engine's exact solver.
+__init__.py is skipped, its imports are the package's re-exports. The
+certificate replay in harness.py must not reach the engine's exact solver,
+and neither engine.py nor harness.py imports formats: a failure carries its
+graph, and only the command line writes it as text.
 """
 
 import ast
@@ -78,3 +80,33 @@ def test_replay_does_not_call_the_exact_solver():
     # engine's solver serves only fuzz's cross-check against the optimum.
     source = (PACKAGE / "harness.py").read_text()
     assert _references_outside(source, "max_induced_matching", "fuzz") == []
+
+
+def _formats_imports(source):
+    """Line numbers of every import that reaches the formats module, at
+    module level or inside a function."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[-1] == "formats" for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_flags_a_formats_import():
+    source = (
+        "from .formats import format_graph\n"
+        "def f():\n    from . import formats\n    import indmatch.formats\n"
+        "from .graph import Graph\n"
+    )
+    assert _formats_imports(source) == [1, 3, 4]
+
+
+@pytest.mark.parametrize("name", ["engine.py", "harness.py"])
+def test_engine_and_replay_do_not_import_formats(name):
+    assert _formats_imports((PACKAGE / name).read_text()) == []
