@@ -18,6 +18,12 @@ candidate pair explicitly instead of trusting structure; if no candidate
 survives, the engine raises InvariantViolationError rather than emit an
 unpaid step.
 
+Rule candidates are queued lazily (see _Pool): the pendant rules R1-R4 at
+the degree change that could first make an entry fire, through an index of
+each vertex's pendant neighbours, and R5-R12 only once a search falls
+through past R4. The pool only shrinks, so a queued candidate that is stale
+stays stale, and when a candidate was queued changes no step.
+
 Every rule step, and every EXACT finish of a component split off during
 the reduction, passes the same _step_violations check against the live
 graph before it is applied. The EXACT steps for components that are small
@@ -45,8 +51,11 @@ RULE_NAMES = (
 
 STEP_KINDS = RULE_NAMES + ("EXACT",)
 
+# The pool queues R5 onward only when find_step first reaches R5.
+_FIRST_DEFERRED = RULE_NAMES.index("R5")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class ReductionStep:
     """One engine move: match these edges, then delete these vertices.
 
@@ -59,14 +68,14 @@ class ReductionStep:
     removed: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     """Replayable log of every step, in the order they were applied."""
 
     steps: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveResult:
     """Matching plus the certificate that justifies it.
 
@@ -214,10 +223,13 @@ def _step_violations(adj, matched, removed):
     rset = set(removed)
     if len(rset) != len(tuple(removed)):
         problems.append(("structure", "removed list repeats a vertex"))
-    for x in sorted(rset):
-        if x not in adj:
-            problems.append(("structure", f"removed vertex {x} is not present"))
-            rset.discard(x)
+    if not adj.keys() >= rset:
+        for x in sorted(rset):
+            if x not in adj:
+                problems.append(
+                    ("structure", f"removed vertex {x} is not present")
+                )
+                rset.discard(x)
     endpoints = [p for e in matched for p in e]
     if len(set(endpoints)) != len(endpoints):
         problems.append(("structure", "matched edges share endpoints"))
@@ -248,6 +260,8 @@ def _step_violations(adj, matched, removed):
                 problems.append(
                     ("structure", f"matched endpoint {x} is not removed")
                 )
+            if adj[x] <= rset:  # the usual case: no neighbour survives
+                continue
             for y in adj[x]:
                 if y not in rset:
                     problems.append((
@@ -282,15 +296,39 @@ def _isolated(adj, removed):
 class _Pool:
     """Mutable working graph plus lazily validated rule-candidate queues.
 
-    Degrees only fall and edges only disappear while the pool shrinks, so a
-    vertex enters each degree level at most once, and a vertex that is the
-    smallest of no triangle, 4-cycle or edge never becomes one again. R9,
-    R11 and R12 queue every vertex up front; every other entry is pushed at
-    the event that could first make it fire. Each rule searches for its
+    Rule Rk owns queues["Rk"] and the method _rk, which returns None for a
+    stale queue head and the step for a live one. Each rule searches for its
     witness when the head is popped, and discards a stale head then.
 
-    Rule Rk owns queues["Rk"] and the method _rk, which returns None for a
-    stale queue head and the step for a live one.
+    Degrees only fall and edges only disappear while the pool shrinks, so a
+    vertex enters each degree level at most once. An entry is queued only
+    once its degree tests hold (R1's neighbour of degree at most 3, R10's
+    vertex of degree exactly 3, and so on), and every other part of a
+    rule's test (an end, an edge, a triangle, a 4-cycle, a common neighbour)
+    can only disappear, so a queued entry that is stale stays stale. A queue
+    therefore only has to hold every entry that is live when it is
+    consulted; heap pops depend only on the queued values, so queueing an
+    entry late, or twice, changes no step.
+
+    The pendant rules R1-R4 are pushed at the event that could first make
+    an entry fire: a vertex becoming an end, or the neighbour of ends
+    falling to degree 3 or 2. ends_at[v] lists the vertices that became
+    ends on v; an end keeps its one neighbour while it lives, so the live
+    members of ends_at[v] (those still in adj) are exactly v's pendant
+    neighbours, and R1-R3 read them there instead of testing the degree of
+    every vertex in reach.
+
+    R5-R12 are deferred to _flush, which find_step runs just before it
+    consults R5. Until the first flush none of their queues holds anything;
+    that flush queues every live vertex for R9, R11 and R12 (a sorted list
+    is a heap) and checks every live vertex as below. After it, a vertex
+    whose degree falls to 2 or 3 is only noted in dirty, and each later
+    flush checks those. A degree-2 vertex is checked for R5-R8, a degree-3
+    one queued for R10. Each push condition (its two neighbours adjacent,
+    a second common neighbour) can only turn false once the vertex has
+    reached its degree; R5's degree-2 neighbour can turn true, but then
+    that neighbour is checked too. So checking at the flush, not at the
+    event, queues every entry that can still be live.
 
     ids are the input's vertex ids; a violation's graph keeps all of them,
     deleted ones isolated, so its witness names the written graph's ids.
@@ -310,82 +348,105 @@ class _Pool:
         self.adj = adj
         self.ids = ids
         self.big_at = {}
-        order = sorted(adj)
-        # A sorted list is already a heap.
-        self.queues = {
-            name: list(order) if name in ("R9", "R11", "R12") else []
-            for name in RULE_NAMES
-        }
+        self.ends_at = {}
+        # None until the first flush, which checks every live vertex.
+        self.dirty = None
+        self.queues = {name: [] for name in RULE_NAMES}
         # The class's functions, not bound methods: a bound method held here
         # would make a reference cycle, which only the cyclic GC frees.
         self.rules = tuple(
             (self.queues[name], getattr(_Pool, f"_{name.lower()}"))
             for name in RULE_NAMES
         )
-        for v in order:
-            self._push_events(v)
+        # In any order: of two ends, the later one's events find the pair.
+        for v, nbrs in adj.items():
+            if len(nbrs) == 1:
+                self._push_end_events(v)
 
     # ----- candidate events -------------------------------------------------
 
     def _push_events(self, v):
-        d = len(self.adj[v])
-        if d == 1:
+        # v lost a neighbour and kept at least one, so its degree is 1-3.
+        adj = self.adj
+        if len(adj[v]) == 1:
             self._push_end_events(v)
-        elif d == 2:
-            self._push_deg2_events(v)
-        elif d == 3:
-            self._push_deg3_events(v)
+            return
+        r1 = self.queues["R1"]
+        for u in self.ends_at.get(v, ()):
+            if u in adj:
+                heappush(r1, (u, v))
+        if self.dirty is not None:
+            self.dirty.append(v)
 
     def _push_end_events(self, y):
         adj = self.adj
         queues = self.queues
+        ends_at = self.ends_at
         (v,) = adj[y]
         heappush(queues["R4"], y)
-        if len(adj[v]) <= 3:
+        nv = adj[v]
+        if len(nv) <= 3:
             heappush(queues["R1"], (y, v))
-        for u in adj[v]:
-            if u != y and len(adj[u]) == 1:
-                pair = (y, u) if y < u else (u, y)
-                heappush(queues["R2"], (pair[0], pair[1], v))
+        ends = ends_at.get(v)
+        if ends is None:
+            ends_at[v] = [y]
+        else:
+            r2 = queues["R2"]
+            for u in ends:
+                if u in adj:
+                    heappush(r2, (y, u, v) if y < u else (u, y, v))
+            ends.append(y)
         # R3: while two ends live their neighbors are fixed and common
         # neighbors only disappear, so a pair that ever qualifies already
         # does when the younger end appears, and this scan finds it.
-        nv = adj[v]
+        r3 = queues["R3"]
         for w in nv:
             if w == y:
                 continue
             for v2 in adj[w]:
                 if v2 == v or v2 in nv:
                     continue
-                for u2 in adj[v2]:
-                    if len(adj[u2]) == 1:
-                        pair = (y, u2) if y < u2 else (u2, y)
-                        heappush(queues["R3"], pair)
+                for u2 in ends_at.get(v2, ()):
+                    if u2 in adj:
+                        heappush(r3, (y, u2) if y < u2 else (u2, y))
 
-    def _push_deg2_events(self, y):
+    def _flush(self):
+        """Queue the R5-R10 entries of every vertex noted since the last
+        flush; the first flush also queues every live vertex for R9, R11
+        and R12 and checks every live vertex."""
+        adj = self.adj
         queues = self.queues
-        a, b = sorted(self.adj[y])
-        for t in (a, b):
-            if len(self.adj[t]) == 2:
-                heappush(queues["R5"], (y, t))
-                heappush(queues["R5"], (t, y))
-            if len(self.adj[t]) == 1:
-                heappush(queues["R1"], (t, y))
-        if b in self.adj[a]:
-            heappush(queues["R6"], y)
-        # y itself is one common neighbor of a and b; R7 wants another.
-        if len(self.adj[a] & self.adj[b]) > 1:
-            heappush(queues["R7"], y)
-        heappush(queues["R8"], y)
-
-    def _push_deg3_events(self, y):
-        # Like R8, R10 takes every entry and leaves the 4-cycle test to the
-        # pop: a degree-3 vertex keeps its neighbors, and 4-cycles only
-        # disappear, so an entry without one can never become live.
-        heappush(self.queues["R10"], y)
-        for u in self.adj[y]:
-            if len(self.adj[u]) == 1:
-                heappush(self.queues["R1"], (u, y))
+        dirty = self.dirty
+        if dirty is None:
+            dirty = sorted(adj)
+            for name in ("R9", "R11", "R12"):
+                queues[name].extend(dirty)
+        self.dirty = []
+        for y in dirty:
+            nbrs = adj.get(y)
+            if nbrs is None:
+                continue
+            d = len(nbrs)
+            if d == 3:
+                # Like R8, R10 takes every entry and leaves the 4-cycle test
+                # to the pop: a degree-3 vertex keeps its neighbors, and
+                # 4-cycles only disappear, so an entry without one can never
+                # become live.
+                heappush(queues["R10"], y)
+            elif d == 2:
+                a, b = sorted(nbrs)
+                na = adj[a]
+                nb = adj[b]
+                for t, nt in ((a, na), (b, nb)):
+                    if len(nt) == 2:
+                        heappush(queues["R5"], (y, t))
+                        heappush(queues["R5"], (t, y))
+                if b in na:
+                    heappush(queues["R6"], y)
+                # y itself is one common neighbor of a and b; R7 wants another.
+                if len(na & nb) > 1:
+                    heappush(queues["R7"], y)
+                heappush(queues["R8"], y)
 
     def _cycle4_through(self, u, above=-1):
         """The smallest (p, w, q), p < q, with u-p-w-q-u a 4-cycle and
@@ -412,11 +473,15 @@ class _Pool:
         the only places where a component can have shrunk.
         """
         big_at = self.big_at
+        ends_at = self.ends_at
         boundary = set()
         for x in removed:
             nbrs = self.adj.pop(x)
             if x in big_at:
                 big_at.pop(x).clear()
+            # Every end on x goes with x, as x's neighbour or isolated.
+            if x in ends_at:
+                del ends_at[x]
             for y in nbrs:
                 if y not in removed:
                     boundary.add(y)
@@ -432,6 +497,7 @@ class _Pool:
                 del self.adj[y]
                 if y in big_at:
                     big_at.pop(y).clear()
+                ends_at.pop(y, None)
         # Events fire only after every boundary degree is final, so the
         # degree tests inside the pushes never see half-applied state.
         for y in survivors:
@@ -486,7 +552,9 @@ class _Pool:
 
     def find_step(self):
         """The highest-priority rule's step at its smallest live witness."""
-        for queue, rule in self.rules:
+        for i, (queue, rule) in enumerate(self.rules):
+            if i == _FIRST_DEFERRED:
+                self._flush()
             while queue:
                 step = rule(self, queue[0])
                 if step is not None:

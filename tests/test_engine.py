@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from collections import Counter
 
@@ -401,6 +402,19 @@ def test_solve_exact_on_small_components():
         assert len(result.matching) == len(max_induced_matching(g))
 
 
+def test_solved_steps_have_no_instance_dict():
+    result = solve(gen_cycle(20))
+    step = result.certificate.steps[0]
+    for obj in (step, result.certificate, result):
+        assert not hasattr(obj, "__dict__")
+    copy = ReductionStep(step.rule, step.matched, step.removed)
+    assert copy == step and hash(copy) == hash(step)
+    assert repr(step).startswith("ReductionStep(rule=")
+    assert dataclasses.replace(step, rule="R2").rule == "R2"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        step.rule = "R2"
+
+
 def test_solve_deterministic():
     g = gen_random_maxdeg4(RandomGraphConfig(n=120, extra_edge_attempts=240, seed=5))
     assert solve(g) == solve(g)
@@ -480,21 +494,26 @@ def test_r10_after_a_degree_drop():
     )
 
 
-def test_late_rule_certificate_is_pinned():
-    # 100 components of 19-40 vertices laid end to end, built the way the
-    # mixed_rules benchmark workload is: every rule up to R10 fires, so a
-    # change in which stale queue head is skipped shows up in the digest.
+def late_rule_graph(components):
+    # Components of 19-40 vertices laid end to end, built the way the
+    # mixed_rules benchmark workload is.
     prng = SplitMix64(1)
     edges = []
     n = 0
-    for _ in range(100):
+    for _ in range(components):
         size = 19 + prng.below(22)
         part = gen_random_maxdeg4(
             RandomGraphConfig(size, 4 * size, prng.next_u64())
         )
         edges.extend((u + n, v + n) for u, v in part.edges())
         n += size
-    g = build_graph(n, edges)
+    return build_graph(n, edges)
+
+
+def test_late_rule_certificate_is_pinned():
+    # 100 components: every rule up to R10 fires, so a change in which
+    # stale queue head is skipped shows up in the digest.
+    g = late_rule_graph(100)
     assert g.n == 2970
     result = solve(g)
     fired = {st.rule for st in result.certificate.steps}
@@ -554,6 +573,29 @@ def test_pool_path_certificate_is_pinned():
     )
 
 
+def test_pool_path_reduction_never_flushes(monkeypatch):
+    # R1-R4 and EXACT steps only: find_step never falls through past R4, so
+    # no R5-R12 queue is ever filled.
+    pools = []
+    init = engine._Pool.__init__
+
+    def recording_init(pool, adj, ids):
+        init(pool, adj, ids)
+        pools.append(pool)
+
+    monkeypatch.setattr(engine._Pool, "__init__", recording_init)
+    result = solve(gen_random_maxdeg4(RandomGraphConfig(20000, 40000, 7)))
+    assert {st.rule for st in result.certificate.steps} == {
+        "R1", "R2", "R3", "R4", "EXACT"
+    }
+    (pool,) = pools
+    assert not pool.adj
+    assert {name: pool.queues[name] for name in engine.RULE_NAMES[4:]} == {
+        name: [] for name in engine.RULE_NAMES[4:]
+    }
+    assert pool.dirty is None
+
+
 def _small_components_oracle(adj, seeds):
     comps = []
     seen = set()
@@ -580,16 +622,20 @@ def _assert_witnesses_sound(pool):
         assert _oracles.reachable(sub, w[0]) == inside
 
 
-def _reduce_checking_split_small(g):
-    """solve's reduction loop, with split_small and the witnesses checked
-    against the live pool after every step; returns how many small
-    components split_small found."""
+def _pool_of(g):
     pool_adj = {}
     for comp in g.components():
         if len(comp) > engine.EXACT_THRESHOLD:
             for v in comp:
                 pool_adj[v] = set(g.neighbors(v))
-    pool = engine._Pool(pool_adj, g.vertices())
+    return engine._Pool(pool_adj, g.vertices())
+
+
+def _reduce_checking_split_small(g):
+    """solve's reduction loop, with split_small and the witnesses checked
+    against the live pool after every step; returns how many small
+    components split_small found."""
+    pool = _pool_of(g)
     split = 0
     while pool.adj:
         step = pool.find_step()
@@ -629,3 +675,75 @@ def test_split_small_returns_a_piece_cut_from_a_live_witness():
     assert survivors == [9, 11]
     assert pool.split_small(survivors) == [list(range(10))]
     _assert_witnesses_sound(pool)
+
+
+def _candidates(adj):
+    """Every entry each rule's queue could hold on the live graph adj."""
+    ends = sorted(u for u in adj if len(adj[u]) == 1)
+    verts = sorted(adj)
+    at = {}
+    for u in ends:
+        at.setdefault(next(iter(adj[u])), []).append(u)
+    yield "R1", [(u, next(iter(adj[u]))) for u in ends]
+    yield "R2", [
+        (u1, u2, v) for v, us in at.items()
+        for i, u1 in enumerate(us) for u2 in us[i + 1 :]
+    ]
+    # R3 leaves "distance exactly 4" to its queue: the two ends' neighbours
+    # must be distinct and apart.
+    yield "R3", [
+        (u1, u2) for i, u1 in enumerate(ends) for u2 in ends[i + 1 :]
+        if not adj[u1] & ({next(iter(adj[u2]))} | adj[next(iter(adj[u2]))])
+    ]
+    yield "R4", ends
+    yield "R5", [(u, v) for u in verts for v in adj[u]]
+    for name in engine.RULE_NAMES[5:]:
+        yield name, verts
+
+
+def _assert_queues_complete(pool):
+    # Every entry on which its rule does not return None, i.e. returns a
+    # step or raises, must be queued; and every live end is indexed.
+    pool._flush()
+    adj = pool.adj
+    for name, entries in _candidates(adj):
+        rule = getattr(engine._Pool, f"_{name.lower()}")
+        queued = set(pool.queues[name])
+        for entry in entries:
+            try:
+                live = rule(pool, entry) is not None
+            except InvariantViolationError:
+                live = True
+            assert not live or entry in queued, (name, entry)
+    for y in adj:
+        if len(adj[y]) == 1:
+            assert y in pool.ends_at[next(iter(adj[y]))]
+
+
+def _reduce_checking_queues(g):
+    """solve's reduction loop, with the rule queues checked against every
+    entry a rule would fire on after every step; returns the rules fired."""
+    pool = _pool_of(g)
+    fired = Counter()
+    _assert_queues_complete(pool)
+    while pool.adj:
+        step = pool.find_step()
+        pool.check(step, step.matched)
+        fired[step.rule] += 1
+        survivors = pool.apply(set(step.removed))
+        for comp in pool.split_small(survivors):
+            estep = engine._exact_step(pool.adj, comp)
+            pool.check(estep, tuple(comp))
+            pool.apply(set(comp))
+        _assert_queues_complete(pool)
+    return fired
+
+
+def test_rule_queues_hold_every_live_entry_through_whole_reductions():
+    # R1-R9 fire on the first graph, R10 on the second.
+    fired = _reduce_checking_queues(late_rule_graph(20))
+    assert set(fired) == {f"R{k}" for k in range(1, 10)}
+    fired = _reduce_checking_queues(
+        gen_random_maxdeg4(RandomGraphConfig(32, 128, 3995))
+    )
+    assert fired == {"R4": 1, "R10": 1, "R5": 1}
