@@ -12,11 +12,11 @@ produces the identical certificate. One 10-vertex graph (see gen_c25) admits
 no such accounting and is rejected up front; everything else with max degree
 4 yields at least one matched edge per nine non-isolated vertices.
 
-The later, denser rules (R7 onward) sometimes need a second matched edge to
-pay for their removals. The searches for that second edge re-validate the
-candidate pair explicitly instead of trusting structure; if no candidate
-survives, the engine raises InvariantViolationError rather than emit an
-unpaid step.
+Some steps match two edges to pay for their removals: R3 always does, and
+R2 and R7-R11 fall back to a second edge when one does not pay. The pair
+searches only list candidate pairs and leave the decision to _induced
+instead of trusting structure; if no candidate passes, the engine raises
+InvariantViolationError rather than emit an unpaid step.
 
 Rule candidates are queued lazily (see _Pool): the pendant rules R1-R4 at
 the degree change that could first make an entry fire, through an index of
@@ -115,17 +115,7 @@ def solve(g):
             for v in comp:
                 pool_adj[v] = g.neighbors(v)
     if pool_adj:
-        pool = _Pool(pool_adj, g.vertices())
-        while pool.adj:
-            step = pool.find_step()
-            pool.check(step, step.matched)
-            survivors = pool.apply(set(step.removed))
-            steps.append(step)
-            for comp in pool.split_small(survivors):
-                estep = _exact_step(pool.adj, comp)
-                pool.check(estep, tuple(comp))
-                pool.apply(set(comp))
-                steps.append(estep)
+        steps.extend(_Pool(pool_adj, g.vertices()).reduce())
     matching = []
     for st in steps:
         matching.extend(st.matched)
@@ -159,11 +149,7 @@ def next_reduction(g):
         )
     if len(g.components()) != 1:
         raise ValueError("graph is not connected")
-    ids = g.vertices()
-    pool = _Pool(dict(g.adjacency), ids)
-    step = pool.find_step()
-    pool.check(step, step.matched)
-    return step
+    return next(_Pool(dict(g.adjacency), g.vertices()).reduce())
 
 
 def _check_input(g):
@@ -193,23 +179,11 @@ def _norm_pairs(pairs):
 
 
 def _lex_first_2matching(adj, scope):
-    verts = sorted(v for v in scope if v in adj)
-    inside = set(verts)
-    edges = []
-    for a in verts:
-        for b in adj[a]:
-            if a < b and b in inside:
-                edges.append((a, b))
-    edges.sort()
-    for i, (a, b) in enumerate(edges):
-        na = adj[a]
-        nb = adj[b]
-        for c, d in edges[i + 1 :]:
-            if c == a or c == b or d == a or d == b:
-                continue
-            if c in na or c in nb or d in na or d in nb:
-                continue
-            return ((a, b), (c, d))
+    edges = sorted((a, b) for a in scope for b in adj[a] if a < b and b in scope)
+    for i, e in enumerate(edges):
+        for f in edges[i + 1 :]:
+            if _induced(adj, (e, f)):
+                return (e, f)
     return None
 
 
@@ -330,6 +304,20 @@ class _Pool:
     that neighbour is checked too. So checking at the flush, not at the
     event, queues every entry that can still be live.
 
+    A rule tests only what a queued entry can lose, plus what decides the
+    rule for any entry of its shape (the tests call each rule on every such
+    entry). An end keeps its one neighbour while it lives, degrees only
+    fall, and a vertex that reaches degree 0 is deleted, so a live end
+    queued for R1-R4 is still an end on the same neighbour, and R1-R4 test
+    only that their ends live. R5 does not test that v lives, since a u
+    still at degree 2 still has v, nor split_small that its seeds, apply's
+    survivors, live.
+
+    reduce() is the one reduction loop, which solve and next_reduction
+    share: it finds, checks and applies a rule step, yields it, then
+    checks, applies and yields an EXACT step for each small component
+    that split_small finds the step cut off.
+
     ids are the input's vertex ids; a violation's graph keeps all of them,
     deleted ones isolated, so its witness names the written graph's ids.
 
@@ -398,11 +386,10 @@ class _Pool:
             ends.append(y)
         # R3: while two ends live their neighbors are fixed and common
         # neighbors only disappear, so a pair that ever qualifies already
-        # does when the younger end appears, and this scan finds it.
+        # does when the younger end appears, and this scan finds it. From
+        # w = y it reaches only v, which the test below skips.
         r3 = queues["R3"]
         for w in nv:
-            if w == y:
-                continue
             for v2 in adj[w]:
                 if v2 == v or v2 in nv:
                     continue
@@ -480,8 +467,7 @@ class _Pool:
             if x in big_at:
                 big_at.pop(x).clear()
             # Every end on x goes with x, as x's neighbour or isolated.
-            if x in ends_at:
-                del ends_at[x]
+            ends_at.pop(x, None)
             for y in nbrs:
                 if y not in removed:
                     boundary.add(y)
@@ -522,7 +508,7 @@ class _Pool:
         found = []
         seen = set()
         for s in seeds:
-            if s in seen or s not in adj:
+            if s in seen:
                 continue
             comp_seen = {s}
             stack = [s]
@@ -549,6 +535,21 @@ class _Pool:
         return found
 
     # ----- step construction ------------------------------------------------
+
+    def reduce(self):
+        """Reduce the pool to nothing, yielding each step once it is checked
+        and applied: a rule step, then an EXACT step for each component
+        that step split off."""
+        while self.adj:
+            step = self.find_step()
+            self.check(step, step.matched)
+            survivors = self.apply(set(step.removed))
+            yield step
+            for comp in self.split_small(survivors):
+                estep = _exact_step(self.adj, comp)
+                self.check(estep, tuple(comp))
+                self.apply(set(comp))
+                yield estep
 
     def find_step(self):
         """The highest-priority rule's step at its smallest live witness."""
@@ -583,14 +584,10 @@ class _Pool:
         # closed neighborhood, match the pendant edge.
         u, v = entry
         adj = self.adj
-        if not (
-            u in adj and v in adj and len(adj[u]) == 1
-            and v in adj[u] and len(adj[v]) <= 3
-        ):
+        # A live u is still an end on v (see the class docstring).
+        if u not in adj or len(adj[v]) > 3:
             return None
-        removed = set(adj[v])
-        removed.add(v)
-        return _step("R1", ((u, v),), removed)
+        return _step("R1", ((u, v),), adj[v] | {v})
 
     def _r2(self, entry):
         # Two pendant vertices on one degree-4 center. Either deleting the
@@ -599,14 +596,9 @@ class _Pool:
         # bigger removal.
         u1, u2, v = entry
         adj = self.adj
-        if not (
-            u1 in adj and u2 in adj and v in adj
-            and len(adj[u1]) == 1 and len(adj[u2]) == 1
-            and v in adj[u1] and v in adj[u2]
-        ):
+        if u1 not in adj or u2 not in adj:
             return None
-        x = set(adj[v])
-        x.add(v)
+        x = adj[v] | {v}
         if len(_isolated(adj, x)) <= 4:
             return _step("R2", ((u1, v),), x)
         spare = sorted(adj[v] - {u1, u2})
@@ -619,7 +611,7 @@ class _Pool:
             if len(adj[t1]) != 1:
                 continue
             for t2 in sorted(adj[w2]):
-                if len(adj[t2]) != 1 or t2 == t1:
+                if len(adj[t2]) != 1:
                     continue
                 matched = ((w1, t1), (w2, t2))
                 if _induced(adj, matched):
@@ -632,8 +624,6 @@ class _Pool:
         u1, u2 = entry
         adj = self.adj
         if u1 not in adj or u2 not in adj:
-            return None
-        if len(adj[u1]) != 1 or len(adj[u2]) != 1:
             return None
         (v1,) = adj[u1]
         (v2,) = adj[u2]
@@ -649,11 +639,10 @@ class _Pool:
         # Any remaining pendant vertex: its neighbor has degree 4 (R1 would
         # have fired otherwise) and isolates at most 4 vertices here.
         adj = self.adj
-        if u not in adj or len(adj[u]) != 1:
+        if u not in adj:
             return None
         (v,) = adj[u]
-        x = set(adj[v])
-        x.add(v)
+        x = adj[v] | {v}
         iso = _isolated(adj, x)
         if len(iso) > 4:
             raise self.violation("R4", u, f"isolates {len(iso)}, expected <= 4")
@@ -664,10 +653,8 @@ class _Pool:
         # neighborhoods (at most 4 vertices).
         u, v = entry
         adj = self.adj
-        if not (
-            u in adj and v in adj and v in adj[u]
-            and len(adj[u]) == 2 and len(adj[v]) == 2
-        ):
+        # Queued at degree 2 beside v, u keeps v while its degree stays 2.
+        if u not in adj or len(adj[u]) != 2 or len(adj[v]) != 2:
             return None
         return _step("R5", (entry,), adj[u] | adj[v])
 
@@ -698,12 +685,7 @@ class _Pool:
         if len(iso) <= 3:
             return _step("R7", ((u, v),), x)
         for s in iso:
-            if s in nt:
-                continue
-            ns = adj[s]
-            for r in sorted(adj[v]):
-                if r == u or r in nt or r not in ns:
-                    continue
+            for r in sorted(adj[v] & adj[s]):
                 matched = ((u, t), (r, s))
                 if _induced(adj, matched):
                     return _step("R7", matched, x | set(iso) | nt | adj[r])
@@ -722,14 +704,11 @@ class _Pool:
             iso = _isolated(adj, x)
             if len(iso) <= 3:
                 return _step("R8", ((u, v),), x)
-            nw = adj[w]
             for s in iso:
-                if s in nw:
-                    continue
                 for t in sorted(adj[v] & adj[s]):
                     matched = ((s, t), (u, w))
                     if _induced(adj, matched):
-                        return _step("R8", matched, x | set(iso) | adj[t] | nw)
+                        return _step("R8", matched, x | set(iso) | adj[t] | adj[w])
         raise self.violation("R8", u, "both orientations failed")
 
     def _r9(self, u):
@@ -752,21 +731,13 @@ class _Pool:
         iso = _isolated(adj, x)
         if len(iso) <= 2:
             return _step("R9", ((u, v),), x)
-        nw = adj[w]
+        # s is isolated, so its neighbours all lie in x. _induced refuses
+        # the pairs listed in vain: s on w, or r on both u and v.
         for s in iso:
-            if s in nw:
-                continue
-            ns = adj[s]
-            for r in sorted(x - {u, v, w}):
-                if r not in ns:
-                    continue
-                r_u = r in nu
-                r_v = r in nv
-                if r_u == r_v:
-                    continue
-                matched = ((v, w) if r_u else (u, w), (r, s))
+            for r in sorted(adj[s] - {u, v, w}):
+                matched = ((v, w) if r in nu else (u, w), (r, s))
                 if _induced(adj, matched):
-                    return _step("R9", matched, x | set(iso) | nw | adj[r])
+                    return _step("R9", matched, x | set(iso) | adj[w] | adj[r])
         raise self.violation("R9", (u, v, w), "no pair leaves the triangle")
 
     def _r10(self, u):

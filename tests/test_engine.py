@@ -629,36 +629,27 @@ def _pool_of(g):
     return engine._Pool(pool_adj, g.vertices())
 
 
-def _reduce_checking_split_small(g):
-    """solve's reduction loop, with split_small and the witnesses checked
-    against the live pool after every step; returns how many small
-    components split_small found."""
-    pool = _pool_of(g)
-    split = 0
-    while pool.adj:
-        step = pool.find_step()
-        pool.check(step, step.matched)
-        survivors = pool.apply(set(step.removed))
-        found = pool.split_small(survivors)
-        assert found == _small_components_oracle(pool.adj, survivors)
-        split += len(found)
-        for comp in found:
-            estep = engine._exact_step(pool.adj, comp)
-            pool.check(estep, tuple(comp))
-            pool.apply(set(comp))
-        _assert_witnesses_sound(pool)
-    return split
+def test_split_small_matches_oracle_through_whole_reductions(monkeypatch):
+    # Every split_small call is checked against the oracle, and the
+    # witnesses against the live pool after every step.
+    found = []
+    split_small = engine._Pool.split_small
 
+    def checked(pool, seeds):
+        comps = split_small(pool, seeds)
+        assert comps == _small_components_oracle(pool.adj, seeds)
+        found.extend(comps)
+        return comps
 
-def test_split_small_matches_oracle_through_whole_reductions():
-    split = 0
+    monkeypatch.setattr(engine._Pool, "split_small", checked)
     for n, per_vertex, seed in (
         (200, 1, 11), (200, 4, 12), (500, 2, 13), (700, 3, 14),
         (1000, 1, 15), (1000, 4, 16), (2000, 2, 17),
     ):
-        g = gen_random_maxdeg4(RandomGraphConfig(n, per_vertex * n, seed))
-        split += _reduce_checking_split_small(g)
-    assert split > 0
+        pool = _pool_of(gen_random_maxdeg4(RandomGraphConfig(n, per_vertex * n, seed)))
+        for _ in pool.reduce():
+            _assert_witnesses_sound(pool)
+    assert found
 
 
 def test_split_small_returns_a_piece_cut_from_a_live_witness():
@@ -712,24 +703,22 @@ def _assert_queues_complete(pool):
     for y in adj:
         if len(adj[y]) == 1:
             assert y in pool.ends_at[next(iter(adj[y]))]
+    # The R1-R4 rules rest on this: a live end keeps its one neighbour.
+    for v, ends in pool.ends_at.items():
+        for u in ends:
+            assert u not in adj or adj[u] == {v}, (v, u)
 
 
 def _reduce_checking_queues(g):
-    """solve's reduction loop, with the rule queues checked against every
-    entry a rule would fire on after every step; returns the rules fired."""
+    """Reduce g with the rule queues checked against every entry a rule
+    would fire on after every step; returns the rules fired."""
     pool = _pool_of(g)
-    fired = Counter()
     _assert_queues_complete(pool)
-    while pool.adj:
-        step = pool.find_step()
-        pool.check(step, step.matched)
-        fired[step.rule] += 1
-        survivors = pool.apply(set(step.removed))
-        for comp in pool.split_small(survivors):
-            estep = engine._exact_step(pool.adj, comp)
-            pool.check(estep, tuple(comp))
-            pool.apply(set(comp))
+    fired = Counter()
+    for step in pool.reduce():
         _assert_queues_complete(pool)
+        if step.rule != "EXACT":
+            fired[step.rule] += 1
     return fired
 
 
