@@ -24,11 +24,10 @@ each vertex's pendant neighbours, and R5-R12 only once a search falls
 through past R4. The pool only shrinks, so a queued candidate that is stale
 stays stale, and when a candidate was queued changes no step.
 
-Every rule step, and every EXACT finish of a component split off during
-the reduction, passes the same _step_violations check against the live
-graph before it is applied. The EXACT steps for components that are small
-in the input skip that check; solve's final induced-and-bound check and
-the replay in harness.verify_certificate cover them.
+Every step, a rule step or an EXACT finish, passes the same
+_step_violations check against the live graph before it is applied; the
+replay in harness.verify_certificate checks each one again with its own
+code.
 """
 
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ from .errors import (
     MaxDegreeExceededError,
 )
 from .exact import max_induced_matching
-from .graph import Graph, _induced, is_induced_matching, is_isomorphic_c25
+from .graph import Graph, _induced, is_isomorphic_c25
 
 EXACT_THRESHOLD = 18
 
@@ -97,41 +96,35 @@ def solve(g):
     C25ComponentError if some component is the one excluded 10-vertex graph,
     and InvariantViolationError if any internal consistency check fails
     (which would be a bug, not an input problem).
+
+    The whole graph, minus its isolated vertices, goes to one _Pool, and
+    every step, an EXACT finish of an input component included, passes
+    _Pool.check on the live pool before it is applied. So a step's pairs
+    are live edges, induced among themselves, and every live neighbour of a
+    matched endpoint goes in the same step. The union of the steps'
+    matchings is therefore induced, with no pass over it: if an input edge
+    x-y joined x, matched at step j, to y, matched at a later step, then y
+    was live at step j, which would have removed it. Only the count is
+    left to check here.
     """
     _check_input(g)
-    comps = g.components()
-    for comp in comps:
+    adj = {v: nbrs for v, nbrs in g.adjacency.items() if nbrs}
+    isolated = g.n - len(adj)
+    pool = _Pool(adj, g.vertices())
+    small = pool.split_small(sorted(adj))
+    for comp in small:
         if len(comp) == 10 and is_isomorphic_c25(g.subgraph(comp)):
             raise C25ComponentError(comp)
-    isolated = sum(1 for comp in comps if len(comp) == 1)
-    steps = []
-    pool_adj = {}
-    for comp in comps:
-        if len(comp) == 1:
-            continue
-        if len(comp) <= EXACT_THRESHOLD:
-            steps.append(_exact_step(g.adjacency, comp))
-        else:
-            for v in comp:
-                pool_adj[v] = g.neighbors(v)
-    if pool_adj:
-        steps.extend(_Pool(pool_adj, g.vertices()).reduce())
-    matching = []
-    for st in steps:
-        matching.extend(st.matched)
-    matching.sort()
-    result = SolveResult(tuple(matching), Certificate(tuple(steps)), g.n, isolated)
-    problem = None
-    if not is_induced_matching(g, result.matching):
-        problem = "assembled matching is not induced"
-    elif 9 * len(result.matching) < g.n - isolated:
-        problem = (
-            f"only {len(result.matching)} edges for {g.n} vertices"
-            f" ({isolated} isolated)"
+    steps = tuple(pool.reduce(small))
+    matching = tuple(sorted(p for st in steps for p in st.matched))
+    if 9 * len(matching) < g.n - isolated:
+        raise InvariantViolationError(
+            f"only {len(matching)} edges for {g.n} vertices"
+            f" ({isolated} isolated)",
+            rule="final",
+            graph=g,
         )
-    if problem:
-        raise InvariantViolationError(problem, rule="final", graph=g)
-    return result
+    return SolveResult(matching, Certificate(steps), g.n, isolated)
 
 
 def next_reduction(g):
@@ -158,18 +151,11 @@ def _check_input(g):
             raise MaxDegreeExceededError(v, g.degree(v))
 
 
-def _exact_step(adj, comp):
-    sub_adj = {v: frozenset(adj[v]) for v in comp}
-    m = sum(len(s) for s in sub_adj.values()) // 2
-    sub = Graph._trusted(sub_adj, m)
-    return ReductionStep("EXACT", max_induced_matching(sub), tuple(comp))
-
-
 def _step(rule, matched, removed):
     """A rule step in certificate form: normalized pairs, sorted removals.
 
     Whether the step is valid and paid for is decided by _step_violations,
-    which both callers of _Pool.find_step run before using the step.
+    which _Pool.reduce runs, through _Pool.check, before applying the step.
     """
     return ReductionStep(rule, _norm_pairs(matched), tuple(sorted(removed)))
 
@@ -313,10 +299,12 @@ class _Pool:
     still at degree 2 still has v, nor split_small that its seeds, apply's
     survivors, live.
 
-    reduce() is the one reduction loop, which solve and next_reduction
-    share: it finds, checks and applies a rule step, yields it, then
-    checks, applies and yields an EXACT step for each small component
-    that split_small finds the step cut off.
+    reduce(small) is the one reduction loop, which solve and next_reduction
+    share. It first checks, applies and yields an EXACT step for each
+    component in small, the ones solve's split_small over the whole pool
+    finds small in the input. Then it finds, checks and applies a rule
+    step, yields it, and does the same for each small component that
+    split_small finds the step cut off, until the pool is empty.
 
     ids are the input's vertex ids; a violation's graph keeps all of them,
     deleted ones isolated, so its witness names the written graph's ids.
@@ -463,15 +451,12 @@ class _Pool:
         ends_at = self.ends_at
         boundary = set()
         for x in removed:
-            nbrs = self.adj.pop(x)
+            boundary |= self.adj.pop(x)
             if x in big_at:
                 big_at.pop(x).clear()
             # Every end on x goes with x, as x's neighbour or isolated.
             ends_at.pop(x, None)
-            for y in nbrs:
-                if y not in removed:
-                    boundary.add(y)
-        ordered = sorted(boundary)
+        ordered = sorted(boundary - removed)
         for y in ordered:
             # Rebinds to a new frozenset; the old one may be the input's.
             self.adj[y] -= removed
@@ -536,20 +521,28 @@ class _Pool:
 
     # ----- step construction ------------------------------------------------
 
-    def reduce(self):
+    def reduce(self, small=()):
         """Reduce the pool to nothing, yielding each step once it is checked
-        and applied: a rule step, then an EXACT step for each component
-        that step split off."""
-        while self.adj:
+        and applied: an EXACT step for each component in small, then a rule
+        step and an EXACT step for each component that step split off, and
+        so on."""
+        adj = self.adj
+        while True:
+            for comp in small:
+                sub_adj = {v: adj[v] for v in comp}
+                m = sum(map(len, sub_adj.values())) // 2
+                matched = max_induced_matching(Graph._trusted(sub_adj, m))
+                step = ReductionStep("EXACT", matched, tuple(comp))
+                self.check(step, step.removed)
+                self.apply(set(comp))
+                yield step
+            if not adj:
+                return
             step = self.find_step()
             self.check(step, step.matched)
             survivors = self.apply(set(step.removed))
             yield step
-            for comp in self.split_small(survivors):
-                estep = _exact_step(self.adj, comp)
-                self.check(estep, tuple(comp))
-                self.apply(set(comp))
-                yield estep
+            small = self.split_small(survivors)
 
     def find_step(self):
         """The highest-priority rule's step at its smallest live witness."""

@@ -29,11 +29,7 @@ def format_graph(g):
     ids = g.vertices()
     if ids and (ids[0] != 0 or ids[-1] != len(ids) - 1):
         relabel = {v: i for i, v in enumerate(ids)}
-        edges = sorted(
-            (relabel[u], relabel[v]) if relabel[u] < relabel[v]
-            else (relabel[v], relabel[u])
-            for u, v in g.edges()
-        )
+        edges = [(relabel[u], relabel[v]) for u, v in g.edges()]
     else:
         edges = g.edges()
     lines = [f"{g.n} {g.m}"]

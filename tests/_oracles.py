@@ -63,36 +63,6 @@ def nu_s(g):
     return conflict_free_subset_max(g.n, g.edges(), g.adjacency)
 
 
-def girth(adjacency):
-    """Length of a shortest cycle, or None for a forest.
-
-    BFS from every vertex; a non-tree edge seen from the root that lies on a
-    shortest cycle through that root closes a cycle of length
-    dist[x] + dist[y] + 1 (odd) or dist[x] + dist[y] + 2 (even, via a common
-    deeper vertex). Taking the minimum over all roots is exact because a
-    root on a shortest cycle measures it without shortcuts.
-    """
-    from collections import deque
-
-    best = None
-    for root in adjacency:
-        dist = {root: 0}
-        parent = {root: None}
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in adjacency[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    queue.append(y)
-                elif parent[x] != y and dist[y] >= dist[x]:
-                    length = dist[x] + dist[y] + 1
-                    if best is None or length < best:
-                        best = length
-    return best
-
-
 def reachable(adjacency, start):
     """Every vertex joined to start by a path, start included."""
     seen = {start}

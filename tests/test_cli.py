@@ -232,16 +232,20 @@ def test_invariant_violation_leaves_a_replay_file(tmp_path, monkeypatch):
     assert parse_graph_text(text).n == 20
 
 
-def test_final_check_failure_leaves_a_replay_file(tmp_path, monkeypatch):
+def test_unpaid_exact_step_leaves_a_replay_file(tmp_path, monkeypatch):
+    # A component that is small in the input is finished by the pool too,
+    # so an EXACT step that matches nothing fails its own step check.
     monkeypatch.chdir(tmp_path)
-    graph = tmp_path / "c20.txt"
-    graph.write_text(format_graph(gen_cycle(20)))
-    monkeypatch.setattr(engine, "is_induced_matching", lambda g, pairs: False)
+    graph = tmp_path / "c12.txt"
+    graph.write_text(format_graph(gen_cycle(12)))
+    monkeypatch.setattr(engine, "max_induced_matching", lambda g: ())
     code, out = _run(["solve", str(graph)])
     assert code == 5
     text = (tmp_path / "invariant-fail.txt").read_text()
-    assert "# rule final" in text.splitlines()
-    assert parse_graph_text(text).n == 20
+    lines = text.splitlines()
+    assert "# rule EXACT" in lines
+    assert f"# witness {tuple(range(12))}" in lines
+    assert [line for line in lines if not line.startswith("#")][0] == "12 12"
 
 
 def test_violation_replay_file_keeps_input_ids(tmp_path, monkeypatch):

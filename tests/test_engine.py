@@ -325,6 +325,12 @@ def test_solve_rejects_c25():
     edges = list(gen_c25().edges()) + [(10, 11)]
     with pytest.raises(C25ComponentError):
         solve(build_graph(12, edges))
+    # and after a component too big to finish exactly
+    edges = list(gen_path(20).edges())
+    edges += [(u + 20, v + 20) for u, v in gen_c25().edges()]
+    with pytest.raises(C25ComponentError) as info:
+        solve(build_graph(30, edges))
+    assert info.value.component == tuple(range(20, 30))
     # a relabeled copy is still caught
     perm = {v: (7 * v + 3) % 10 for v in range(10)}
     edges = [(perm[u], perm[v]) for u, v in gen_c25().edges()]
@@ -620,13 +626,12 @@ def _assert_witnesses_sound(pool):
         assert _oracles.reachable(sub, w[0]) == inside
 
 
-def _pool_of(g):
-    pool_adj = {}
-    for comp in g.components():
-        if len(comp) > engine.EXACT_THRESHOLD:
-            for v in comp:
-                pool_adj[v] = set(g.neighbors(v))
-    return engine._Pool(pool_adj, g.vertices())
+def _reduction(g):
+    """solve's pool for g, and the generator of its steps."""
+    pool = engine._Pool(
+        {v: nbrs for v, nbrs in g.adjacency.items() if nbrs}, g.vertices()
+    )
+    return pool, pool.reduce(pool.split_small(sorted(pool.adj)))
 
 
 def test_split_small_matches_oracle_through_whole_reductions(monkeypatch):
@@ -646,8 +651,9 @@ def test_split_small_matches_oracle_through_whole_reductions(monkeypatch):
         (200, 1, 11), (200, 4, 12), (500, 2, 13), (700, 3, 14),
         (1000, 1, 15), (1000, 4, 16), (2000, 2, 17),
     ):
-        pool = _pool_of(gen_random_maxdeg4(RandomGraphConfig(n, per_vertex * n, seed)))
-        for _ in pool.reduce():
+        g = gen_random_maxdeg4(RandomGraphConfig(n, per_vertex * n, seed))
+        pool, steps = _reduction(g)
+        for _ in steps:
             _assert_witnesses_sound(pool)
     assert found
 
@@ -712,10 +718,10 @@ def _assert_queues_complete(pool):
 def _reduce_checking_queues(g):
     """Reduce g with the rule queues checked against every entry a rule
     would fire on after every step; returns the rules fired."""
-    pool = _pool_of(g)
+    pool, steps = _reduction(g)
     _assert_queues_complete(pool)
     fired = Counter()
-    for step in pool.reduce():
+    for step in steps:
         _assert_queues_complete(pool)
         if step.rule != "EXACT":
             fired[step.rule] += 1

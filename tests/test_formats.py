@@ -89,8 +89,10 @@ def test_matching_roundtrip():
     assert text == "0 1\n3 4\n"
     assert parse_matching_text(text) == ((0, 1), (3, 4))
     assert parse_matching_text("# note\n5 2\n\n0 1\n") == ((0, 1), (2, 5))
-    with pytest.raises(FormatError, match="a matched pair"):
+    with pytest.raises(FormatError, match="a matched pair is not numeric"):
         parse_matching_text("1 two\n")
+    with pytest.raises(FormatError, match="expected two integers for a matched"):
+        parse_matching_text("1 2 3\n")
 
 
 def test_certificate_exact_only():
@@ -157,6 +159,7 @@ def test_parse_certificate_errors():
 def test_empty_matching_line():
     text = format_certificate(solve(build_graph(2, [(0, 1)])))
     assert text.endswith("matching 0-1\n")
+    assert format_certificate(solve(build_graph(3, []))) == "matching\n"
     cert, matching = parse_certificate_text(
         "step 1 rule EXACT match 0-1 remove 0,1\nmatching\n"
     )

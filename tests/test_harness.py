@@ -12,10 +12,12 @@ from indmatch import (
     SplitMix64,
     build_graph,
     fuzz,
+    gen_c25,
     gen_path,
     gen_random_maxdeg4,
     max_induced_matching,
     solve,
+    splitmix64_next,
     verify_certificate,
     verify_solution,
 )
@@ -131,17 +133,21 @@ def test_verify_certificate_catches_an_exact_step_above_the_optimum():
     g = gen_path(20)
     result = solve(g)
     first, second = result.certificate.steps
-    inflated = ReductionStep(
-        "EXACT", second.matched + ((17, 18),), second.removed
-    )
-    bad = _tampered(
-        result,
-        certificate=Certificate((first, inflated)),
-        matching=first.matched + inflated.matched,
-    )
-    report = verify_certificate(g, bad)
-    assert not report.induced_ok
-    assert "step 2 exact step matched 7 edges, the optimum is 6" in report.details
+    # One extra edge is refuted at once; two make the search step down.
+    for extra in (((17, 18),), ((14, 15), (17, 18))):
+        inflated = ReductionStep("EXACT", second.matched + extra, second.removed)
+        bad = _tampered(
+            result,
+            certificate=Certificate((first, inflated)),
+            matching=first.matched + inflated.matched,
+        )
+        report = verify_certificate(g, bad)
+        assert not report.induced_ok
+        claimed = 6 + len(extra)
+        assert (
+            f"step 2 exact step matched {claimed} edges, the optimum is 6"
+            in report.details
+        )
 
 
 def test_verify_certificate_catches_corrupted_matching():
@@ -346,6 +352,33 @@ def test_fuzz_records_a_check_that_raises(monkeypatch):
     assert report.summary_lines()[2:] == [
         "failures 1", f"trial 0 seed {failure.seed} check raised RuntimeError",
     ]
+
+
+def test_fuzz_reports_each_failed_check_with_its_trial(monkeypatch):
+    real_solve = harness.solve
+
+    def repeats_a_pair(g):
+        result = real_solve(g)
+        return _tampered(result, matching=result.matching + result.matching[:1])
+
+    monkeypatch.setattr(harness, "solve", repeats_a_pair)
+    monkeypatch.setattr(harness, "max_induced_matching", lambda g: ())
+    report = fuzz(FuzzConfig(trials=2, n_min=20, n_max=20, seed=5))
+    kinds = (
+        "solution check failed",
+        "certificate check failed",
+        "matching exceeds the optimum",
+        "optimum below the guarantee",
+    )
+    assert [(f.trial, f.seed, f.kind) for f in report.failures] == [
+        (t, splitmix64_next(5 + t)[0], kind) for t in range(2) for kind in kinds
+    ]
+    assert report.failures[3].details == ("9*0 < 20 - 0",)
+
+    monkeypatch.setattr(harness, "gen_random_maxdeg4", lambda config: gen_c25())
+    report = fuzz(FuzzConfig(trials=3, n_min=2, n_max=30, seed=5))
+    assert report.skipped_c25 == 3
+    assert report.failures == ()
 
 
 def _forged(g, *steps):
