@@ -30,6 +30,7 @@ from .formats import (
     format_certificate,
     format_graph,
     format_matching,
+    graph_lines,
     parse_certificate_file,
     parse_graph_file,
     parse_matching_file,
@@ -61,13 +62,6 @@ def _write_repro(name, header, graph):
     (Path.cwd() / name).write_text(lines + body)
 
 
-def _write_out(text, out):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
 def _cmd_gen(args):
     family = args.family
     if family in ("path", "cycle", "random") and args.n is None:
@@ -90,7 +84,12 @@ def _cmd_gen(args):
         g = gen_random_maxdeg4(
             RandomGraphConfig(n=args.n, extra_edge_attempts=extra, seed=args.seed)
         )
-    _write_out(format_graph(g), args.out)
+    # Line by line: the file's text is never held whole beside the graph.
+    if args.out is None:
+        sys.stdout.writelines(graph_lines(g))
+    else:
+        with open(args.out, "w") as out:
+            out.writelines(graph_lines(g))
     return EXIT_OK
 
 
@@ -125,13 +124,16 @@ def _cmd_exact(args):
 
 def _cmd_verify(args):
     g = parse_graph_file(args.graph)
-    matching = parse_matching_file(args.matching)
+    # The graph file is positional, so ids[i] is vertex i: every parsed id
+    # that names a vertex becomes the graph's own int object.
+    ids = g.vertices()
+    matching = parse_matching_file(args.matching, ids)
     report = verify_solution(g, matching)
     for line in report.details:
         print(line)
     failed = not report.ok
     if args.certificate is not None:
-        cert, cert_matching = parse_certificate_file(args.certificate)
+        cert, cert_matching = parse_certificate_file(args.certificate, ids)
         if cert_matching == matching:
             # Keep one copy of the pairs, and the report already made on it.
             cert_matching = matching

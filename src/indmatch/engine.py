@@ -302,9 +302,10 @@ class _Pool:
     reduce(small) is the one reduction loop, which solve and next_reduction
     share. It first checks, applies and yields an EXACT step for each
     component in small, the ones solve's split_small over the whole pool
-    finds small in the input. Then it finds, checks and applies a rule
-    step, yields it, and does the same for each small component that
-    split_small finds the step cut off, until the pool is empty.
+    finds small in the input, and only then queues the end events of the
+    pool's ends. Then it finds, checks and applies a rule step, yields it,
+    and does the same for each small component that split_small finds the
+    step cut off, until the pool is empty.
 
     ids are the input's vertex ids; a violation's graph keeps all of them,
     deleted ones isolated, so its witness names the written graph's ids.
@@ -334,10 +335,6 @@ class _Pool:
             (self.queues[name], getattr(_Pool, f"_{name.lower()}"))
             for name in RULE_NAMES
         )
-        # In any order: of two ends, the later one's events find the pair.
-        for v, nbrs in adj.items():
-            if len(nbrs) == 1:
-                self._push_end_events(v)
 
     # ----- candidate events -------------------------------------------------
 
@@ -527,22 +524,31 @@ class _Pool:
         step and an EXACT step for each component that step split off, and
         so on."""
         adj = self.adj
-        while True:
-            for comp in small:
-                sub_adj = {v: adj[v] for v in comp}
-                m = sum(map(len, sub_adj.values())) // 2
-                matched = max_induced_matching(Graph._trusted(sub_adj, m))
-                step = ReductionStep("EXACT", matched, tuple(comp))
-                self.check(step, step.removed)
-                self.apply(set(comp))
-                yield step
-            if not adj:
-                return
+        for comp in small:
+            yield self._finish(comp)
+        # Only now, so no end of an input component just finished is
+        # queued. In any order: of two ends, the later one's events find
+        # the pair.
+        for v, nbrs in adj.items():
+            if len(nbrs) == 1:
+                self._push_end_events(v)
+        while adj:
             step = self.find_step()
             self.check(step, step.matched)
             survivors = self.apply(set(step.removed))
             yield step
-            small = self.split_small(survivors)
+            for comp in self.split_small(survivors):
+                yield self._finish(comp)
+
+    def _finish(self, comp):
+        """The checked and applied EXACT step for the small component comp."""
+        sub_adj = {v: self.adj[v] for v in comp}
+        m = sum(map(len, sub_adj.values())) // 2
+        matched = max_induced_matching(Graph._trusted(sub_adj, m))
+        step = ReductionStep("EXACT", matched, tuple(comp))
+        self.check(step, step.removed)
+        self.apply(set(comp))
+        return step
 
     def find_step(self):
         """The highest-priority rule's step at its smallest live witness."""

@@ -16,6 +16,12 @@ Certificates: one line per step,
 with k counting from 1, followed by a final line
     matching <a>-<b>[,...]
 (the word alone when the matching is empty).
+
+The matching and certificate parsers take an optional ids argument, the
+graph's vertex ids in order (ids[i] is vertex i, as parse_graph_text builds
+them). Each parsed id list whose ids all name vertices then holds the
+graph's own int objects, so the ids are not held twice; a list with an id
+outside 0..len(ids) - 1 is kept as parsed, for the replay to report.
 """
 
 from pathlib import Path
@@ -26,15 +32,25 @@ from .graph import build_graph
 
 
 def format_graph(g):
+    return "".join(graph_lines(g))
+
+
+def graph_lines(g):
+    """The lines of format_graph(g), each ending in a newline, one at a time
+    and with no edge list built: each vertex's edges to larger ids, in id
+    order, are the sorted edge list."""
     ids = g.vertices()
+    adj = g.adjacency
     if ids and (ids[0] != 0 or ids[-1] != len(ids) - 1):
-        relabel = {v: i for i, v in enumerate(ids)}
-        edges = [(relabel[u], relabel[v]) for u, v in g.edges()]
-    else:
-        edges = g.edges()
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in edges)
-    return "\n".join(lines) + "\n"
+        # Relabelling by rank keeps the order of ids, and so of edges.
+        rank = {v: i for i, v in enumerate(ids)}
+        adj = {rank[v]: [rank[u] for u in nbrs] for v, nbrs in adj.items()}
+        ids = range(len(ids))
+    yield f"{g.n} {g.m}\n"
+    for v in ids:
+        for u in sorted(adj[v]):
+            if u > v:
+                yield f"{v} {u}\n"
 
 
 def parse_graph_text(text):
@@ -95,8 +111,8 @@ def format_matching(matching):
     return "".join(f"{a} {b}\n" for a, b in pairs)
 
 
-def parse_matching_text(text):
-    pairs = []
+def parse_matching_text(text, ids=None):
+    ends = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         try:
             a, b = raw.split()
@@ -110,12 +126,34 @@ def parse_matching_text(text):
                     f"line {lineno}: expected two integers for a matched pair"
                 ) from None
             raise FormatError(f"line {lineno}: a matched pair is not numeric") from None
-        pairs.append((a, b) if a < b else (b, a))
-    return tuple(sorted(pairs))
+        if a < b:
+            ends.append(a)
+            ends.append(b)
+        else:
+            ends.append(b)
+            ends.append(a)
+    if ids is not None and ends and min(ends) >= 0:
+        ends = _own_ids(ends, ids)
+    it = iter(ends)
+    return tuple(sorted(zip(it, it)))
 
 
-def parse_matching_file(path):
-    return parse_matching_text(Path(path).read_text())
+def parse_matching_file(path, ids=None):
+    return parse_matching_text(Path(path).read_text(), ids)
+
+
+def _own_ids(parsed, ids):
+    """parsed, a sequence of non-negative ids, as a tuple of the graph's own
+    int objects when ids is given and every id names a vertex; otherwise
+    unchanged. The caller rules out negative ids, which would index ids
+    from its end; an id of n or more, 2^63 and up included, is an
+    IndexError. One pass per list, with no test per id."""
+    if ids is None:
+        return parsed
+    try:
+        return tuple(map(ids.__getitem__, parsed))
+    except IndexError:
+        return parsed
 
 
 def _format_pairs(pairs):
@@ -137,7 +175,11 @@ def format_certificate(result):
     return "\n".join(lines) + "\n"
 
 
-def parse_certificate_text(text):
+# Each parsed rule name becomes its STEP_KINDS constant, not a new string.
+_STEP_KIND = {kind: kind for kind in STEP_KINDS}
+
+
+def parse_certificate_text(text, ids=None):
     """Certificate text -> (Certificate, matching)."""
     steps = []
     matching = None
@@ -168,28 +210,33 @@ def parse_certificate_text(text):
                     f"line {lineno}: step {k} out of order,"
                     f" expected {len(steps) + 1}"
                 )
-            rule, token = parts[3], parts[5]
-            if rule not in STEP_KINDS:
-                raise FormatError(f"line {lineno}: unknown rule '{rule}'")
-        pairs = []
+            rule, token = _STEP_KIND.get(parts[3]), parts[5]
+            if rule is None:
+                raise FormatError(f"line {lineno}: unknown rule '{parts[3]}'")
+        # Split on "-", so no id of a pair can be negative.
+        ends = []
         try:
             for part in token.split(","):
                 a, b = part.split("-")
-                pairs.append((int(a), int(b)))
+                ends.append(int(a))
+                ends.append(int(b))
         except ValueError:
             raise FormatError(f"line {lineno}: bad pair '{part}'") from None
+        it = iter(_own_ids(ends, ids))
         if rule is None:
-            matching = tuple(sorted(pairs))
+            matching = tuple(sorted(zip(it, it)))
             continue
         try:
             removed = tuple(map(int, parts[7].split(",")))
         except ValueError:
             raise FormatError(f"line {lineno}: bad id list '{parts[7]}'") from None
-        steps.append(ReductionStep(rule, tuple(pairs), removed))
+        if "-" not in parts[7]:
+            removed = _own_ids(removed, ids)
+        steps.append(ReductionStep(rule, tuple(zip(it, it)), removed))
     if matching is None:
         raise FormatError("certificate has no final matching line")
     return Certificate(tuple(steps)), matching
 
 
-def parse_certificate_file(path):
-    return parse_certificate_text(Path(path).read_text())
+def parse_certificate_file(path, ids=None):
+    return parse_certificate_text(Path(path).read_text(), ids)

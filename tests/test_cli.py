@@ -329,6 +329,24 @@ def test_verify_stdout_bytes_for_failing_inputs(tmp_path):
         "step 2 exact removal is not a whole component (edges to [2])\n"
         "step 2 neighbor 2 of matched endpoint 3 survives\n"
     ))
+    # Ids that name no vertex (-1, n, 2^63) stay as parsed for the replay
+    # to report; the ids of the graph's vertices are its own int objects.
+    big = 2**63
+    exact = "3-4,6-7,9-10,12-13,15-16,18-19"
+    hostile = (
+        f"step 1 rule R1 match 0-1,20-{big} remove 0,1,2\n"
+        f"step 2 rule EXACT match {exact}"
+        f" remove {','.join(map(str, range(3, 20)))}\n"
+        f"step 3 rule R4 match 0-1 remove -1,20,{big}\n"
+        f"matching 0-1,{exact},20-{big}\n"
+    )
+    assert _verify_stdout(tmp_path, p20, good + "-1 5\n", hostile) == (6, (
+        "pair -1-5 uses a vertex the graph lacks\n"
+        "certificate matching differs from the matching file\n"
+        f"pair 20-{big} uses a vertex the graph lacks\n"
+        f"step 1 matched edge 20-{big} uses a missing vertex\n"
+        "step 3 removes unavailable or repeated vertices\n"
+    ))
 
 
 @pytest.mark.parametrize("enabled", (True, False))

@@ -5,17 +5,23 @@ from indmatch import (
     Graph,
     IdOutOfRangeError,
     SelfLoopError,
+    STEP_KINDS,
     SplitMix64,
     UnknownVertexError,
     build_graph,
+    format_certificate,
     format_graph,
+    format_matching,
     gen_c25,
     gen_path,
     gen_random_maxdeg4,
     gen_tight9,
     is_induced_matching,
     is_isomorphic_c25,
+    parse_certificate_text,
     parse_graph_text,
+    parse_matching_text,
+    solve,
 )
 from indmatch.generators import RandomGraphConfig
 
@@ -70,6 +76,29 @@ def test_each_id_is_one_int_object():
     assert _neighbours_are_key_objects(parse_graph_text(format_graph(g)))
     fresh = [(int(str(u)), int(str(v))) for u, v in g.edges()]
     assert _neighbours_are_key_objects(build_graph(g.n, fresh))
+
+
+def test_parsed_ids_are_the_graphs_int_objects():
+    # indmatch verify parses the matching and the certificate with the
+    # graph's ids, so no vertex id is held twice; each rule name is its
+    # STEP_KINDS constant.
+    g = parse_graph_text(format_graph(
+        gen_random_maxdeg4(RandomGraphConfig(n=2000, extra_edge_attempts=4000, seed=5))
+    ))
+    result = solve(g)
+    ids = g.vertices()
+    own = {v: v for v in g.adjacency}
+    matching = parse_matching_text(format_matching(result.matching), ids)
+    cert, cert_matching = parse_certificate_text(format_certificate(result), ids)
+    assert matching == cert_matching == result.matching
+    assert cert == result.certificate
+    kinds = {kind: kind for kind in STEP_KINDS}
+    parsed = [x for pair in matching + cert_matching for x in pair]
+    for step in cert.steps:
+        assert kinds[step.rule] is step.rule
+        parsed.extend(x for pair in step.matched for x in pair)
+        parsed.extend(step.removed)
+    assert len(parsed) > 2000 and all(own[x] is x for x in parsed)
 
 
 def test_graph_constructor_validates():
