@@ -1,7 +1,6 @@
 import pytest
 
 from indmatch import (
-    Certificate,
     DuplicateEdgeError,
     FormatError,
     RandomGraphConfig,
@@ -175,80 +174,3 @@ def test_empty_matching_line():
     )
     assert matching == ()
 
-
-def _parsed(parse, text, *ids):
-    try:
-        return parse(text, *ids)
-    except FormatError as exc:
-        return ("error", str(exc))
-
-
-def _id_lists(parsed):
-    """The id lists of a parsed matching or certificate, each as one flat
-    tuple, as the parsers map them: a matching file whole, a certificate
-    step's pairs and its removals, and the certificate's matching line."""
-    if parsed and parsed[0] == "error":
-        return []
-    if len(parsed) == 2 and isinstance(parsed[0], Certificate):
-        cert, matching = parsed
-        lists = [tuple(x for pair in matching for x in pair)]
-        for step in cert.steps:
-            lists.append(tuple(x for pair in step.matched for x in pair))
-            lists.append(step.removed)
-        return lists
-    return [tuple(x for pair in parsed for x in pair)]
-
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
-
-# Above 256, where CPython's cached ints would hide a copy; with ids that
-# name no vertex (negative, n, 2^63 and more) and tokens that do not parse.
-N = 600
-IDS = st.one_of(
-    st.integers(N - 8, N - 1),
-    st.integers(N - 8, N - 1),
-    st.integers(N - 8, N - 1),
-    st.sampled_from((-1, -2, N, N + 1, 2**63, 2**64)),
-)
-TOKENS = st.one_of(*[IDS.map(str)] * 19, st.sampled_from(("x", "1-2", "")))
-
-
-@st.composite
-def matching_texts(draw):
-    lines = draw(st.lists(st.lists(TOKENS, min_size=1, max_size=3), max_size=5))
-    return "".join(" ".join(line) + "\n" for line in lines)
-
-
-@st.composite
-def certificate_texts(draw):
-    def ids(sep, token):
-        return sep.join(draw(st.lists(token, min_size=1, max_size=3)))
-
-    pair = st.builds(lambda a, b: f"{a}-{b}", TOKENS, TOKENS)
-    lines = []
-    for k in range(1, draw(st.integers(0, 3)) + 1):
-        rule = draw(st.sampled_from(("R1", "EXACT") * 4 + ("R13",)))
-        lines.append(f"step {k} rule {rule} match {ids(',', pair)} remove {ids(',', TOKENS)}")
-    if draw(st.integers(0, 9)):
-        lines.append(f"matching {ids(',', pair)}")
-    return "".join(line + "\n" for line in lines)
-
-
-@hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
-@hypothesis.given(matching_texts(), certificate_texts())
-def test_parsing_with_the_graphs_ids_changes_only_id_objects(match_text, cert_text):
-    # Same result or the same error with or without ids; each id list whose
-    # ids all name vertices holds the graph's own ids, any other as parsed.
-    ids = tuple(range(N))
-    for parse, text in (
-        (parse_matching_text, match_text), (parse_certificate_text, cert_text)
-    ):
-        plain = _parsed(parse, text)
-        shared = _parsed(parse, text, ids)
-        assert shared == plain
-        for ids_list in _id_lists(shared):
-            if all(0 <= x < N for x in ids_list):
-                assert all(x is ids[x] for x in ids_list)
-            else:
-                assert not any(x is ids[x] for x in ids_list if 256 < x < N)
