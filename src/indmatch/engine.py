@@ -24,6 +24,12 @@ each vertex's pendant neighbours, and R5-R12 only once a search falls
 through past R4. The pool only shrinks, so a queued candidate that is stale
 stays stale, and when a candidate was queued changes no step.
 
+Small components that a rule step cuts off are found late (see _Pool):
+only when a later rule step lands in one, or in a sweep before a search
+consults R5. Rules look only inside their own component, so this changes
+no rule step, and each EXACT step is still placed right after the rule
+step that cut its component off.
+
 Every step, a rule step or an EXACT finish, passes the same
 _step_violations check against the live graph before it is applied; the
 replay in harness.verify_certificate checks each one again with its own
@@ -32,6 +38,7 @@ code.
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import attrgetter
 
 from .errors import (
     C25ComponentError,
@@ -52,6 +59,8 @@ STEP_KINDS = RULE_NAMES + ("EXACT",)
 
 # The pool queues R5 onward only when find_step first reaches R5.
 _FIRST_DEFERRED = RULE_NAMES.index("R5")
+
+_removed = attrgetter("removed")
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,25 +305,52 @@ class _Pool:
     fall, and a vertex that reaches degree 0 is deleted, so a live end
     queued for R1-R4 is still an end on the same neighbour, and R1-R4 test
     only that their ends live. R5 does not test that v lives, since a u
-    still at degree 2 still has v, nor split_small that its seeds, apply's
-    survivors, live.
+    still at degree 2 still has v, nor split_small that its seeds, pending
+    vertices, live.
 
     reduce(small) is the one reduction loop, which solve and next_reduction
     share. It first checks, applies and yields an EXACT step for each
     component in small, the ones solve's split_small over the whole pool
     finds small in the input, and only then queues the end events of the
-    pool's ends. Then it finds, checks and applies a rule step, yields it,
-    and does the same for each small component that split_small finds the
-    step cut off, until the pool is empty.
+    pool's ends. Then it finds, checks and applies rule steps until the
+    pool is empty.
+
+    Small components are found late. apply marks each survivor of rule
+    step k pending with the stamp k, a later stamp overwriting an earlier
+    one, unless the survivor sits in a live witness; a vertex leaves
+    pending when it is deleted or joins a witness. A component that step k
+    cuts off small holds a survivor of k, so every live component of at
+    most EXACT_THRESHOLD vertices holds a pending vertex. While a vertex is
+    pending, find_step probes each step it finds from the step's removed
+    set, and a step in a small component finishes that component instead.
+    Before find_step consults R5 it sweeps: split_small over the pending
+    vertices finishes every small component left and clears pending. So
+    the flush, R5-R12 and the "no rule applies" raise see the graph that
+    finishing each component right after its rule step gives. A rule that
+    raises while a vertex is pending is evaluated again after a sweep, and
+    a rule step that fails its check is checked again after one, so a
+    violation carries that same graph.
+
+    Rules look only inside their own component, and nothing touches a
+    component once it is cut off, so finishing it late changes no rule
+    step. Its EXACT step is filed in exact_after under the highest stamp
+    among its vertices, the rule step that cut it off; reduce yields each
+    rule step followed by its filed EXACT steps, sorted, which is the order
+    finishing the components at once gives. Every filed list is complete
+    once nothing is pending, so reduce holds rule steps back until then;
+    a rule step applied with nothing pending, the first one included, is
+    yielded at once.
 
     ids are the input's vertex ids; a violation's graph keeps all of them,
     deleted ones isolated, so its witness names the written graph's ids.
 
-    big_at maps a vertex to its witness: a list of EXACT_THRESHOLD + 1
-    vertices that one split_small probe found connected. An edge goes only
-    with one of its ends, so a witness stays connected while every member
-    lives, and apply empties it when a member goes; live witnesses are
-    disjoint.
+    big_at maps each vertex of a live witness to it: a list of
+    EXACT_THRESHOLD + 1 vertices that one probe found connected. An edge
+    goes only with one of its ends, so a witness stays connected while
+    every member lives, and apply deletes the whole witness from big_at
+    when a member goes; live witnesses are disjoint. A witness found by
+    the probe of a step holds none of the step's removed vertices, so it
+    outlives the step.
 
     adj starts out holding the input graph's own frozensets, shared and not
     copied. apply rebinds a shrunk vertex to a new frozenset and nothing
@@ -326,6 +362,10 @@ class _Pool:
         self.ids = ids
         self.big_at = {}
         self.ends_at = {}
+        # The number of rule steps applied, the stamp apply gives.
+        self.rule_steps = 0
+        self.pending = {}
+        self.exact_after = {}
         # None until the first flush, which checks every live vertex.
         self.dirty = None
         self.queues = {name: [] for name in RULE_NAMES}
@@ -441,88 +481,142 @@ class _Pool:
     def apply(self, removed):
         """Delete the removed set plus anyone it isolates.
 
-        Returns the survivors, sorted: the boundary vertices that stay, i.e.
-        the only places where a component can have shrunk.
-        """
-        big_at = self.big_at
-        ends_at = self.ends_at
-        boundary = set()
-        for x in removed:
-            boundary |= self.adj.pop(x)
-            if x in big_at:
-                big_at.pop(x).clear()
-            # Every end on x goes with x, as x's neighbour or isolated.
-            ends_at.pop(x, None)
-        ordered = sorted(boundary - removed)
-        for y in ordered:
-            # Rebinds to a new frozenset; the old one may be the input's.
-            self.adj[y] -= removed
-        survivors = []
-        for y in ordered:
-            if self.adj[y]:
-                survivors.append(y)
-            else:
-                del self.adj[y]
-                if y in big_at:
-                    big_at.pop(y).clear()
-                ends_at.pop(y, None)
-        # Events fire only after every boundary degree is final, so the
-        # degree tests inside the pushes never see half-applied state.
-        for y in survivors:
-            self._push_events(y)
-        return survivors
-
-    def split_small(self, seeds):
-        """Components of at most EXACT_THRESHOLD vertices touching the seeds.
-
-        Every component that lost a vertex contains a seed, so probing the
-        seeds with a size-capped search finds each newly small component;
-        returned sorted, smallest first vertex first.
-
-        A probe ends "big" on reaching a live witness (connected while every
-        member lives; live witnesses are disjoint) or its own
-        EXACT_THRESHOLD + 1-th vertex. Only the latter records a witness,
-        and no vertex it holds is in a live one, so no entry of big_at that
-        points at a live witness is ever overwritten.
+        The survivors, the boundary vertices that stay, are the only places
+        where a component can have shrunk; each one outside a live witness
+        is marked pending with the stamp rule_steps.
         """
         adj = self.adj
         big_at = self.big_at
+        ends_at = self.ends_at
+        pending = self.pending
+        boundary = set()
+        for x in removed:
+            boundary |= adj.pop(x)
+            if x in big_at:
+                for v in big_at[x]:
+                    del big_at[v]
+            # Every end on x goes with x, as x's neighbour or isolated.
+            ends_at.pop(x, None)
+            pending.pop(x, None)
+        boundary -= removed
+        survivors = []
+        for y in boundary:
+            # Rebinds to a new frozenset; the old one may be the input's.
+            nbrs = adj[y] = adj[y] - removed
+            if nbrs:
+                survivors.append(y)
+            else:
+                del adj[y]
+                if y in big_at:
+                    for v in big_at[y]:
+                        del big_at[v]
+                ends_at.pop(y, None)
+                pending.pop(y, None)
+        # Events fire only after every boundary degree is final, so the
+        # degree tests inside the pushes never see half-applied state; and
+        # only then is a witness known to outlive the step.
+        stamp = self.rule_steps
+        for y in survivors:
+            self._push_events(y)
+            if y not in big_at:
+                pending[y] = stamp
+
+    def _probe(self, s, seen):
+        """Search s's piece of the pool outside seen, adding what it visits
+        to seen: the piece as a list when it has at most EXACT_THRESHOLD
+        vertices, else None.
+
+        The search ends "big" on reaching a live witness (connected while
+        every member lives; live witnesses are disjoint) or its own
+        EXACT_THRESHOLD + 1-th vertex. Only the latter records a witness,
+        those vertices, and none of them is in a live one, so no entry of
+        big_at is ever overwritten.
+        """
+        adj = self.adj
+        big_at = self.big_at
+        if s in big_at:
+            return None
+        seen.add(s)
+        piece = [s]
+        stack = [s]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    if y in big_at:
+                        return None
+                    seen.add(y)
+                    piece.append(y)
+                    if len(piece) > EXACT_THRESHOLD:
+                        pending = self.pending
+                        for v in piece:
+                            big_at[v] = piece
+                            pending.pop(v, None)
+                        return None
+                    stack.append(y)
+        return piece
+
+    def split_small(self, seeds):
+        """Components of at most EXACT_THRESHOLD vertices touching the seeds,
+        each sorted, smallest first vertex first. The seeds must be live."""
         found = []
         seen = set()
         for s in seeds:
-            if s in seen:
-                continue
-            comp_seen = {s}
-            stack = [s]
-            big = bool(big_at.get(s))
-            while stack and not big:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in comp_seen:
-                        if big_at.get(y):
-                            big = True
-                            break
-                        comp_seen.add(y)
-                        if len(comp_seen) > EXACT_THRESHOLD:
-                            big = True
-                            witness = list(comp_seen)
-                            for v in witness:
-                                big_at[v] = witness
-                            break
-                        stack.append(y)
-            seen |= comp_seen
-            if not big:
-                found.append(sorted(comp_seen))
+            if s not in seen:
+                comp = set()
+                if self._probe(s, comp) is not None:
+                    found.append(sorted(comp))
+                seen |= comp
         found.sort()
         return found
+
+    def _small_component(self, removed):
+        """The sorted component holding the removed set if it has at most
+        EXACT_THRESHOLD vertices, else None.
+
+        The removed set lies in one component. The search starts with it
+        seen and probes the pieces that hang off it one at a time, so a
+        witness it records holds no removed vertex and outlives the step.
+        """
+        adj = self.adj
+        big_at = self.big_at
+        seen = set(removed)
+        for x in removed:
+            if x in big_at:
+                return None
+        for x in removed:
+            for y in adj[x]:
+                if y not in seen and self._probe(y, seen) is None:
+                    return None
+        if len(seen) > EXACT_THRESHOLD:
+            return None
+        return sorted(seen)
+
+    def _sweep(self):
+        """Finish every small component that holds a pending vertex, and
+        clear pending."""
+        stamps = self.pending
+        if stamps:
+            self.pending = {}
+            for comp in self.split_small(stamps):
+                self._finish_cut_off(comp, stamps)
+
+    def _finish_cut_off(self, comp, stamps):
+        # The rule step that cut comp off stamped its survivors there, and
+        # no later rule step touched comp: its number is the highest stamp.
+        k = max(stamps[v] for v in comp if v in stamps)
+        self.exact_after.setdefault(k, []).append(self._finish(comp))
 
     # ----- step construction ------------------------------------------------
 
     def reduce(self, small=()):
         """Reduce the pool to nothing, yielding each step once it is checked
-        and applied: an EXACT step for each component in small, then a rule
-        step and an EXACT step for each component that step split off, and
-        so on."""
+        and applied: an EXACT step for each component in small, then each
+        rule step, each followed by the EXACT steps of the components it cut
+        off, sorted.
+
+        Rule steps are held back while a vertex is pending (see the class
+        docstring); one applied with nothing pending is yielded at once.
+        """
         adj = self.adj
         for comp in small:
             yield self._finish(comp)
@@ -532,13 +626,39 @@ class _Pool:
         for v, nbrs in adj.items():
             if len(nbrs) == 1:
                 self._push_end_events(v)
+        shown = 0  # the last rule step yielded
+        held = []  # the rule steps after it
         while adj:
             step = self.find_step()
-            self.check(step, step.matched)
-            survivors = self.apply(set(step.removed))
+            if step is None:
+                break
+            try:
+                self.check(step, step.matched)
+            except InvariantViolationError:
+                if not self.pending:
+                    raise
+                self._sweep()
+                self.check(step, step.matched)
+            if not self.pending:
+                yield from self._release(shown, held)
+                shown = self.rule_steps + 1
+                held = []
+            self.rule_steps += 1
+            self.apply(set(step.removed))
+            if shown == self.rule_steps:
+                yield step
+            else:
+                held.append(step)
+        yield from self._release(shown, held)
+
+    def _release(self, k, held):
+        """The EXACT steps filed after rule step k, then each held rule step,
+        k + 1 onward, followed by its own."""
+        exact_after = self.exact_after
+        yield from sorted(exact_after.pop(k, ()), key=_removed)
+        for k, step in enumerate(held, k + 1):
             yield step
-            for comp in self.split_small(survivors):
-                yield self._finish(comp)
+            yield from sorted(exact_after.pop(k, ()), key=_removed)
 
     def _finish(self, comp):
         """The checked and applied EXACT step for the small component comp."""
@@ -551,14 +671,35 @@ class _Pool:
         return step
 
     def find_step(self):
-        """The highest-priority rule's step at its smallest live witness."""
+        """The highest-priority rule's step at its smallest live witness in
+        a component of more than EXACT_THRESHOLD vertices, or None once the
+        pool is empty.
+
+        A step found in a small component finishes that component instead,
+        and pops its queue head, which the finish made stale.
+        """
         for i, (queue, rule) in enumerate(self.rules):
             if i == _FIRST_DEFERRED:
+                self._sweep()
+                if not self.adj:
+                    return None
                 self._flush()
             while queue:
-                step = rule(self, queue[0])
+                try:
+                    step = rule(self, queue[0])
+                except InvariantViolationError:
+                    if not self.pending:
+                        raise
+                    self._sweep()
+                    continue
                 if step is not None:
-                    return step
+                    comp = (
+                        self._small_component(step.removed)
+                        if self.pending else None
+                    )
+                    if comp is None:
+                        return step
+                    self._finish_cut_off(comp, self.pending)
                 heappop(queue)
         raise self.violation("R12", None, "no rule applies to a non-empty graph")
 

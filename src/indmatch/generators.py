@@ -8,7 +8,7 @@ induced matching sits exactly on interesting boundaries.
 
 from dataclasses import dataclass
 
-from .graph import _freeze, build_graph
+from .graph import _freeze, _id_list, build_graph
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -45,6 +45,8 @@ class SplitMix64:
     def below(self, n):
         if n <= 0:
             raise ValueError(f"below({n}) needs a positive bound")
+        if n > 1 << 64:
+            raise ValueError(f"below({n}) needs a bound of at most 2**64")
         if n == 1:
             return 0
         shift = 64 - (n - 1).bit_length()
@@ -105,14 +107,16 @@ def gen_path(n):
     """Path 0-1-...-(n-1)."""
     if n < 1:
         raise ValueError(f"gen_path needs n >= 1, got {n}")
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    # Edges drawn lazily, so build_graph refuses a count too large for a
+    # list before any edge is made.
+    return build_graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def gen_cycle(n):
     """Cycle 0-1-...-(n-1)-0."""
     if n < 3:
         raise ValueError(f"gen_cycle needs n >= 3, got {n}")
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return build_graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def gen_random_maxdeg4(config):
@@ -135,7 +139,7 @@ def _gen_random_capped(config, cap):
         raise ValueError("extra_edge_attempts must be >= 0")
     prng = SplitMix64(config.seed)
     # The sets hold the graph's own id objects, as build_graph's do.
-    ids = list(range(n))
+    ids = _id_list(n)
     adj = [set() for _ in ids]
     for v in range(1, n):
         while True:

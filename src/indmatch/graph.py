@@ -7,6 +7,7 @@ meaningful at every intermediate stage.
 Everything here is deterministic: iteration orders are pinned by sorting.
 """
 
+import sys
 from collections import Counter, deque
 from types import MappingProxyType
 
@@ -140,8 +141,7 @@ def build_graph(n, edges):
     """
     if n < 0:
         raise IdOutOfRangeError(f"vertex count {n} is negative")
-    # A list, not the range: indexing a range makes a new int every time.
-    ids = list(range(n))
+    ids = _id_list(n)
     adj = [set() for _ in ids]
     for u, v in edges:
         if not (0 <= u < n) or not (0 <= v < n):
@@ -153,6 +153,15 @@ def build_graph(n, edges):
         adj[u].add(ids[v])
         adj[v].add(ids[u])
     return _freeze(ids, adj)
+
+
+def _id_list(n):
+    """The ids 0..n-1 as a list, not the range: indexing a range makes a
+    new int every time. No list holds more than sys.maxsize items, so a
+    larger count is refused here rather than overflow inside list()."""
+    if n > sys.maxsize:
+        raise IdOutOfRangeError(f"vertex count {n} is more than {sys.maxsize}")
+    return list(range(n))
 
 
 def _freeze(ids, adj):

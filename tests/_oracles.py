@@ -5,6 +5,8 @@ bug in the package and a bug here would have to coincide to hide a wrong
 answer. Only standard library code, no imports from the package.
 """
 
+import sys
+
 
 def splitmix64_sequence(seed, count):
     """First `count` outputs of splitmix64 started at `seed`."""
@@ -151,6 +153,10 @@ def parse_graph_ref(text):
     if len(edges) != m:
         raise RefParseError(
             "FormatError", f"expected {m} edge lines, found {len(edges)}"
+        )
+    if n > sys.maxsize:
+        raise RefParseError(
+            "IdOutOfRangeError", f"vertex count {n} is more than {sys.maxsize}"
         )
     adjacency = {v: set() for v in range(n)}
     for u, v in edges:

@@ -164,6 +164,35 @@ def test_huge_header_exits_4_without_a_traceback(tmp_path):
     assert run.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["solve", "exact", "verify", "gen", "gen-path"])
+def test_vertex_count_past_sys_maxsize_exits_4(tmp_path, capsys, command):
+    # No list holds 2^63 ids, so the count is refused before anything is
+    # allocated: one error line, no traceback.
+    count = 2**63
+    graph = tmp_path / "big.txt"
+    graph.write_text(f"{count} 0\n")
+    matching = tmp_path / "m.txt"
+    matching.write_text("")
+    argv = {
+        "solve": ["solve", str(graph)],
+        "exact": ["exact", str(graph)],
+        "verify": ["verify", str(graph), str(matching)],
+        "gen": ["gen", "--family", "random", "--n", str(count)],
+        "gen-path": ["gen", "--family", "path", "--n", str(count)],
+    }[command]
+    assert _run(argv) == (4, "")
+    assert capsys.readouterr().err == (
+        f"error: vertex count {count} is more than {sys.maxsize}\n"
+    )
+
+
+def test_fuzz_size_span_past_64_bits_exits_4(capsys):
+    assert _run(["fuzz", "--trials", "1", "--nmax", str(10**23)]) == (4, "")
+    assert capsys.readouterr().err == (
+        f"error: below({10**23 - 1}) needs a bound of at most 2**64\n"
+    )
+
+
 def test_exact_command(tmp_path):
     graph = tmp_path / "p9.txt"
     graph.write_text(format_graph(gen_path(9)))

@@ -634,11 +634,24 @@ def _reduction(g):
     return pool, pool.reduce(pool.split_small(sorted(pool.adj)))
 
 
+# Random graphs at one to four extra-edge attempts per vertex: the
+# reduction cuts many small components off bigger ones.
+REDUCTION_CORPUS = tuple(
+    gen_random_maxdeg4(RandomGraphConfig(n, per_vertex * n, seed))
+    for n, per_vertex, seed in (
+        (200, 1, 11), (200, 4, 12), (500, 2, 13), (700, 3, 14),
+        (1000, 1, 15), (1000, 4, 16), (2000, 2, 17),
+    )
+)
+
+
 def test_split_small_matches_oracle_through_whole_reductions(monkeypatch):
-    # Every split_small call is checked against the oracle, and the
-    # witnesses against the live pool after every step.
+    # Every split_small call and every probe of a rule step's component is
+    # checked against the oracle, and the witnesses against the live pool
+    # after every batch of steps.
     found = []
     split_small = engine._Pool.split_small
+    small_component = engine._Pool._small_component
 
     def checked(pool, seeds):
         comps = split_small(pool, seeds)
@@ -646,16 +659,211 @@ def test_split_small_matches_oracle_through_whole_reductions(monkeypatch):
         found.extend(comps)
         return comps
 
+    def checked_probe(pool, removed):
+        comp = small_component(pool, removed)
+        assert ([comp] if comp else []) == _small_components_oracle(
+            pool.adj, removed[:1]
+        )
+        probed.append(comp)
+        return comp
+
+    probed = []
     monkeypatch.setattr(engine._Pool, "split_small", checked)
-    for n, per_vertex, seed in (
-        (200, 1, 11), (200, 4, 12), (500, 2, 13), (700, 3, 14),
-        (1000, 1, 15), (1000, 4, 16), (2000, 2, 17),
-    ):
-        g = gen_random_maxdeg4(RandomGraphConfig(n, per_vertex * n, seed))
+    monkeypatch.setattr(engine._Pool, "_small_component", checked_probe)
+    for g in REDUCTION_CORPUS:
         pool, steps = _reduction(g)
         for _ in steps:
             _assert_witnesses_sound(pool)
     assert found
+    assert any(probed) and not all(probed)
+
+
+def _live_small_components(adj):
+    comps = []
+    seen = set()
+    for v in adj:
+        if v not in seen:
+            comp = _oracles.reachable(adj, v)
+            seen |= comp
+            if 1 < len(comp) <= engine.EXACT_THRESHOLD:
+                comps.append(comp)
+    return comps
+
+
+def test_pool_invariants_hold_after_every_rule_step(monkeypatch):
+    # Brute force: each rule step find_step returns lies in a component of
+    # more than EXACT_THRESHOLD vertices, and after it is applied every
+    # small component left holds a pending vertex, no vertex of a live
+    # witness is pending, and the witnesses are sound.
+    find_step = engine._Pool.find_step
+    apply = engine._Pool.apply
+    rule_steps = []
+
+    def checked_find_step(pool):
+        step = find_step(pool)
+        if step is not None:
+            comp = _oracles.reachable(pool.adj, step.removed[0])
+            assert len(comp) > engine.EXACT_THRESHOLD
+        return step
+
+    def checked_apply(pool, removed):
+        apply(pool, removed)
+        if pool.rule_steps != len(rule_steps):
+            rule_steps.append(removed)
+            assert pool.pending.keys() <= pool.adj.keys()
+            assert pool.pending.keys().isdisjoint(pool.big_at)
+            for comp in _live_small_components(pool.adj):
+                assert not comp.isdisjoint(pool.pending), sorted(comp)
+            _assert_witnesses_sound(pool)
+
+    monkeypatch.setattr(engine._Pool, "find_step", checked_find_step)
+    monkeypatch.setattr(engine._Pool, "apply", checked_apply)
+    for g in (*REDUCTION_CORPUS, late_rule_graph(20)):
+        rule_steps.clear()
+        pool, steps = _reduction(g)
+        yielded_at = []  # how many rule steps were applied at each yield
+        for step in steps:
+            if step.rule != "EXACT":
+                yielded_at.append(pool.rule_steps)
+        # The first rule step is yielded at once, so next_reduction costs
+        # one step.
+        assert yielded_at[0] == 1
+        assert len(yielded_at) == len(rule_steps)
+        assert not pool.adj and not pool.pending and not pool.exact_after
+
+
+def _assert_exact_steps_placed(g, steps):
+    """Replay steps on g with no engine code. Each EXACT step's vertices
+    form a component of the live graph when it runs; after the first rule
+    step, that component was not one before the rule step that opens the
+    step's run of EXACT steps, so that rule step cut it off; and each run
+    of EXACT steps is sorted."""
+    adj = {v: set(nbrs) for v, nbrs in g.adjacency.items() if nbrs}
+    cut = None  # what the rule step opening the current run deleted
+    run = []
+    for step in steps:
+        removed = set(step.removed)
+        if step.rule == "EXACT":
+            assert removed <= adj.keys()
+            assert _oracles.reachable(adj, step.removed[0]) == removed
+            assert cut is None or any(g.adjacency[v] & cut for v in removed)
+            run.append(step.removed)
+        else:
+            assert run == sorted(run)
+            run = []
+        gone = set(removed)
+        for x in removed:
+            for y in adj.pop(x):
+                if y not in removed:
+                    adj[y].discard(x)
+                    if not adj[y]:
+                        del adj[y]
+                        gone.add(y)
+        if step.rule != "EXACT":
+            cut = gone
+    assert run == sorted(run)
+    assert not adj
+
+
+def test_exact_steps_follow_the_rule_step_that_cut_them_off():
+    graphs = (
+        *REDUCTION_CORPUS,
+        late_rule_graph(20),
+        gen_random_maxdeg4(RandomGraphConfig(20000, 40000, 7)),
+        # One rule step cuts off two components, and a later rule step
+        # lands in the one with the larger first vertex first.
+        gen_random_maxdeg4(RandomGraphConfig(200, 800, 2)),
+    )
+    runs = 0
+    for g in graphs:
+        steps = solve(g).certificate.steps
+        _assert_exact_steps_placed(g, steps)
+        runs += sum(
+            a.rule != "EXACT" and b.rule == "EXACT"
+            for a, b in zip(steps, steps[1:])
+        )
+    assert runs > 100
+
+
+def _patch_rule(monkeypatch, name, fake):
+    real = getattr(engine._Pool, f"_{name.lower()}")
+    monkeypatch.setattr(
+        engine._Pool, f"_{name.lower()}",
+        lambda pool, entry: fake(pool, entry, real),
+    )
+
+
+def _first(entry):
+    return entry[0] if isinstance(entry, tuple) else entry
+
+
+def test_a_rule_raising_in_a_cut_off_component_is_tried_again(monkeypatch):
+    # R1-R4 raise on every head in a small component. The engine finishes
+    # the pending components and evaluates the head again, which is stale
+    # by then, so the certificate does not change.
+    g = REDUCTION_CORPUS[-1]
+    expected = solve(g).certificate
+    raised = []
+
+    def fake(pool, entry, real):
+        u = _first(entry)
+        if u in pool.adj and len(
+            _oracles.reachable(pool.adj, u)
+        ) <= engine.EXACT_THRESHOLD:
+            raised.append(u)
+            raise pool.violation("R1", entry, "forced")
+        return real(pool, entry)
+
+    for name in engine.RULE_NAMES[:4]:
+        _patch_rule(monkeypatch, name, fake)
+    assert solve(g).certificate == expected
+    assert raised
+
+
+def test_raises_see_every_cut_off_component_finished(monkeypatch):
+    # A rule that raises, or a rule step that fails its check, while small
+    # components are pending: the violation's graph has them finished, as
+    # it has when every component is finished right after its rule step.
+    g = REDUCTION_CORPUS[-1]
+
+    def small_ones_pending(pool):
+        return pool.pending and _live_small_components(pool.adj)
+
+    doomed = []  # the first head in a big component met with them pending
+
+    def fake(pool, entry, real):
+        u = _first(entry)
+        if not doomed and u in pool.adj and small_ones_pending(pool) and len(
+            _oracles.reachable(pool.adj, u)
+        ) > engine.EXACT_THRESHOLD:
+            doomed.append(entry)
+        if entry in doomed:
+            raise pool.violation("R1", entry, "forced")
+        return real(pool, entry)
+
+    with monkeypatch.context() as patch:
+        for name in engine.RULE_NAMES[:4]:
+            _patch_rule(patch, name, fake)
+        with pytest.raises(InvariantViolationError) as info:
+            solve(g)
+    assert info.value.detail == "forced"
+    assert _live_small_components(info.value.graph.adjacency) == []
+
+    find_step = engine._Pool.find_step
+
+    def unpaid_step(pool):
+        step = find_step(pool)
+        if step is not None and small_ones_pending(pool):
+            # Only the endpoints go, so their other neighbours survive.
+            ends = tuple(sorted(p for e in step.matched for p in e))
+            return ReductionStep(step.rule, step.matched, ends)
+        return step
+
+    monkeypatch.setattr(engine._Pool, "find_step", unpaid_step)
+    with pytest.raises(InvariantViolationError) as info:
+        solve(g)
+    assert "survives" in info.value.detail
+    assert _live_small_components(info.value.graph.adjacency) == []
 
 
 def test_split_small_returns_a_piece_cut_from_a_live_witness():
@@ -666,9 +874,11 @@ def test_split_small_returns_a_piece_cut_from_a_live_witness():
     pool = engine._Pool({v: set(path.neighbors(v)) for v in range(40)}, range(40))
     assert pool.split_small([0]) == []
     assert sorted(pool.big_at[0]) == list(range(19))
-    survivors = pool.apply({10})
-    assert survivors == [9, 11]
-    assert pool.split_small(survivors) == [list(range(10))]
+    pool.apply({10})
+    # The witness died with 10, so both survivors are pending.
+    assert pool.pending == {9: 0, 11: 0}
+    assert pool.big_at == {}
+    assert pool.split_small(sorted(pool.pending)) == [list(range(10))]
     _assert_witnesses_sound(pool)
 
 
@@ -717,10 +927,11 @@ def _assert_queues_complete(pool):
 
 def _reduce_checking_queues(g):
     """Reduce g with the rule queues checked against every entry a rule
-    would fire on each time find_step consults them, and after every step
-    from the first rule step on; returns the rules fired. The input's own
-    small components are finished before any end is queued, so the queues
-    are not complete until then."""
+    would fire on each time find_step consults them, which is after every
+    rule step, and again after each step yielded from the first rule step
+    on (reduce may hold steps back and yield them in a batch); returns the
+    rules fired. The input's own small components are finished before any
+    end is queued, so the queues are not complete until then."""
     pool, steps = _reduction(g)
 
     def find_step():

@@ -59,6 +59,11 @@ def test_below_draws():
     assert prng.state == before  # bound 1 consumes no output
     with pytest.raises(ValueError):
         prng.below(0)
+    # A bound of 2**64 keeps whole outputs; a larger one cannot be drawn.
+    assert SplitMix64(5).below(2**64) == SplitMix64(5).next_u64()
+    with pytest.raises(ValueError) as info:
+        prng.below(2**64 + 1)
+    assert str(info.value) == f"below({2**64 + 1}) needs a bound of at most 2**64"
     for n in (2, 3, 7, 10, 1000):
         prng = SplitMix64(17)
         draws = [prng.below(n) for _ in range(200)]

@@ -129,6 +129,9 @@ def _reference(text):
 @example(f"2 1\n0 {2**64}\n")
 @example("3 2\n0 1\n1 0\n")
 @example("3 1\n2 2\n")
+# A vertex count no list can hold, alone and before a format error.
+@example(f"{BIG} 1\n0 1\n")
+@example(f"{BIG} 1\n0 x\n")
 # Valid files around comments and blank lines, and the degenerate ones.
 @example("# c\n\n3 2\n  0 1 \n# x\n\n1\t2\n")
 @example("0 0\n")
