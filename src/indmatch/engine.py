@@ -9,8 +9,10 @@ is the certificate that harness.verify_certificate replays.
 Twelve reduction rules are tried in a fixed priority order, and within a
 rule the lexicographically smallest witness fires, so a given graph always
 produces the identical certificate. One 10-vertex graph (see gen_c25) admits
-no such accounting and is rejected up front; everything else with max degree
-4 yields at least one matched edge per nine non-isolated vertices.
+no such accounting; the exact finish tests each component for it, and since
+only an input component can be that graph, it is rejected before any rule
+step. Everything else with max degree 4 yields at least one matched edge per
+nine non-isolated vertices.
 
 Some steps match two edges to pay for their removals: R3 always does, and
 R2 and R7-R11 fall back to a second edge when one does not pay. The pair
@@ -29,6 +31,11 @@ only when a later rule step lands in one, or in a sweep before a search
 consults R5. Rules look only inside their own component, so this changes
 no rule step, and each EXACT step is still placed right after the rule
 step that cut its component off.
+
+_Pool.reduce is the one reduction loop: it finds, checks and applies each
+step and returns them all as the certificate's steps. A rule that raises,
+or a rule step that fails its check, while a cut-off component may still
+be unfinished is tried again after a sweep, in that loop and nowhere else.
 
 Every step, a rule step or an EXACT finish, passes the same
 _step_violations check against the live graph before it is applied; the
@@ -106,25 +113,25 @@ def solve(g):
     and InvariantViolationError if any internal consistency check fails
     (which would be a bug, not an input problem).
 
-    The whole graph, minus its isolated vertices, goes to one _Pool, and
-    every step, an EXACT finish of an input component included, passes
-    _Pool.check on the live pool before it is applied. So a step's pairs
-    are live edges, induced among themselves, and every live neighbour of a
-    matched endpoint goes in the same step. The union of the steps'
-    matchings is therefore induced, with no pass over it: if an input edge
-    x-y joined x, matched at step j, to y, matched at a later step, then y
-    was live at step j, which would have removed it. Only the count is
-    left to check here.
+    The whole graph, minus its isolated vertices, goes to one _Pool, whose
+    reduce returns every step: an EXACT finish of each input component that
+    is small, then the rule steps, each followed by the EXACT finishes of
+    the components it cut off. Each finish tests its component for C25
+    first; only an input component can be C25, so the first one in id
+    order is rejected before any rule step.
+
+    Every step passes _Pool.check on the live pool before it is applied. So
+    a step's pairs are live edges, induced among themselves, and every live
+    neighbour of a matched endpoint goes in the same step. The union of the
+    steps' matchings is therefore induced, with no pass over it: if an input
+    edge x-y joined x, matched at step j, to y, matched at a later step,
+    then y was live at step j, which would have removed it. Only the count
+    is left to check here.
     """
     _check_input(g)
     adj = {v: nbrs for v, nbrs in g.adjacency.items() if nbrs}
     isolated = g.n - len(adj)
-    pool = _Pool(adj, g.vertices())
-    small = pool.split_small(sorted(adj))
-    for comp in small:
-        if len(comp) == 10 and is_isomorphic_c25(g.subgraph(comp)):
-            raise C25ComponentError(comp)
-    steps = tuple(pool.reduce(small))
+    steps = _Pool(adj, g.vertices()).reduce()
     matching = tuple(sorted(p for st in steps for p in st.matched))
     if 9 * len(matching) < g.n - isolated:
         raise InvariantViolationError(
@@ -151,7 +158,11 @@ def next_reduction(g):
         )
     if len(g.components()) != 1:
         raise ValueError("graph is not connected")
-    return next(_Pool(dict(g.adjacency), g.vertices()).reduce())
+    pool = _Pool(dict(g.adjacency), g.vertices())
+    pool._queue_ends()
+    step = pool.find_step()
+    pool.check(step, step.matched)
+    return step
 
 
 def _check_input(g):
@@ -308,12 +319,11 @@ class _Pool:
     still at degree 2 still has v, nor split_small that its seeds, pending
     vertices, live.
 
-    reduce(small) is the one reduction loop, which solve and next_reduction
-    share. It first checks, applies and yields an EXACT step for each
-    component in small, the ones solve's split_small over the whole pool
-    finds small in the input, and only then queues the end events of the
-    pool's ends. Then it finds, checks and applies rule steps until the
-    pool is empty.
+    reduce is the one reduction loop, and returns the steps. It first
+    finishes each component that is small in the input, and only then
+    queues the end events of the pool's ends. Then it finds, checks and
+    applies rule steps until the pool is empty. next_reduction queues the
+    ends and finds and checks one step.
 
     Small components are found late. apply marks each survivor of rule
     step k pending with the stamp k, a later stamp overwriting an earlier
@@ -326,20 +336,25 @@ class _Pool:
     Before find_step consults R5 it sweeps: split_small over the pending
     vertices finishes every small component left and clears pending. So
     the flush, R5-R12 and the "no rule applies" raise see the graph that
-    finishing each component right after its rule step gives. A rule that
-    raises while a vertex is pending is evaluated again after a sweep, and
-    a rule step that fails its check is checked again after one, so a
-    violation carries that same graph.
+    finishing each component right after its rule step gives. reduce is
+    the one place that retries: when a rule raises, or a rule step fails
+    its check, while a vertex is pending, it sweeps and finds the step
+    again, so a violation carries that same graph. Once find_step reaches a
+    rule's queue every queue ahead of it is empty, and a sweep finishes
+    whole components, which pushes no event; so the retry meets the same
+    head, now stale and popped, or live and raising again with nothing
+    pending. An EXACT step that fails its check raises at once.
 
     Rules look only inside their own component, and nothing touches a
     component once it is cut off, so finishing it late changes no rule
     step. Its EXACT step is filed in exact_after under the highest stamp
-    among its vertices, the rule step that cut it off; reduce yields each
+    among its vertices, the rule step that cut it off; reduce returns each
     rule step followed by its filed EXACT steps, sorted, which is the order
-    finishing the components at once gives. Every filed list is complete
-    once nothing is pending, so reduce holds rule steps back until then;
-    a rule step applied with nothing pending, the first one included, is
-    yielded at once.
+    finishing the components at once gives.
+
+    _finish, which every EXACT step goes through, rejects a C25 component.
+    Only an input component can be one: a component that a rule step cuts
+    off holds a survivor that lost a neighbour, and C25 is 4-regular.
 
     ids are the input's vertex ids; a violation's graph keeps all of them,
     deleted ones isolated, so its witness names the written graph's ids.
@@ -608,64 +623,54 @@ class _Pool:
 
     # ----- step construction ------------------------------------------------
 
-    def reduce(self, small=()):
-        """Reduce the pool to nothing, yielding each step once it is checked
-        and applied: an EXACT step for each component in small, then each
-        rule step, each followed by the EXACT steps of the components it cut
-        off, sorted.
-
-        Rule steps are held back while a vertex is pending (see the class
-        docstring); one applied with nothing pending is yielded at once.
-        """
-        adj = self.adj
-        for comp in small:
-            yield self._finish(comp)
-        # Only now, so no end of an input component just finished is
-        # queued. In any order: of two ends, the later one's events find
-        # the pair.
-        for v, nbrs in adj.items():
+    def _queue_ends(self):
+        """Queue the end events of every end in the pool, in any order: of
+        two ends, the later one's events find the pair."""
+        for v, nbrs in self.adj.items():
             if len(nbrs) == 1:
                 self._push_end_events(v)
-        shown = 0  # the last rule step yielded
-        held = []  # the rule steps after it
+
+    def reduce(self):
+        """Reduce the pool to nothing and return the steps, each checked
+        and applied: an EXACT step for each component that is small in the
+        input, then each rule step, each followed by the EXACT steps of the
+        components it cut off, sorted."""
+        adj = self.adj
+        steps = [self._finish(comp) for comp in self.split_small(sorted(adj))]
+        # Only now, so no end of an input component just finished is queued.
+        self._queue_ends()
+        applied = []  # the rule steps, in order
         while adj:
-            step = self.find_step()
-            if step is None:
-                break
             try:
+                step = self.find_step()
+                if step is None:
+                    break
                 self.check(step, step.matched)
-            except InvariantViolationError:
-                if not self.pending:
+            except InvariantViolationError as exc:
+                if exc.rule == "EXACT" or not self.pending:
                     raise
                 self._sweep()
-                self.check(step, step.matched)
-            if not self.pending:
-                yield from self._release(shown, held)
-                shown = self.rule_steps + 1
-                held = []
+                continue
+            applied.append(step)
             self.rule_steps += 1
             self.apply(set(step.removed))
-            if shown == self.rule_steps:
-                yield step
-            else:
-                held.append(step)
-        yield from self._release(shown, held)
-
-    def _release(self, k, held):
-        """The EXACT steps filed after rule step k, then each held rule step,
-        k + 1 onward, followed by its own."""
         exact_after = self.exact_after
-        yield from sorted(exact_after.pop(k, ()), key=_removed)
-        for k, step in enumerate(held, k + 1):
-            yield step
-            yield from sorted(exact_after.pop(k, ()), key=_removed)
+        for k, step in enumerate(applied, 1):
+            steps.append(step)
+            steps.extend(sorted(exact_after.pop(k, ()), key=_removed))
+        return tuple(steps)
 
     def _finish(self, comp):
-        """The checked and applied EXACT step for the small component comp."""
+        """The checked and applied EXACT step for the small component comp.
+
+        Raises C25ComponentError if comp is C25.
+        """
         sub_adj = {v: self.adj[v] for v in comp}
         m = sum(map(len, sub_adj.values())) // 2
-        matched = max_induced_matching(Graph._trusted(sub_adj, m))
-        step = ReductionStep("EXACT", matched, tuple(comp))
+        sub = Graph._trusted(sub_adj, m)
+        if is_isomorphic_c25(sub):
+            raise C25ComponentError(comp)
+        step = ReductionStep("EXACT", max_induced_matching(sub), tuple(comp))
         self.check(step, step.removed)
         self.apply(set(comp))
         return step
@@ -685,13 +690,7 @@ class _Pool:
                     return None
                 self._flush()
             while queue:
-                try:
-                    step = rule(self, queue[0])
-                except InvariantViolationError:
-                    if not self.pending:
-                        raise
-                    self._sweep()
-                    continue
+                step = rule(self, queue[0])
                 if step is not None:
                     comp = (
                         self._small_component(step.removed)

@@ -43,7 +43,7 @@ class C25ComponentError(IndmatchError):
 
     That component is the 4-regular 10-vertex blow-up of a 5-cycle; its best
     induced matching has a single edge, which is below the guarantee the
-    engine certifies, so such inputs are rejected up front.
+    engine certifies, so such inputs are rejected before any rule step.
     """
 
     def __init__(self, component):

@@ -148,7 +148,16 @@ def _gen_random_capped(config, cap):
                 break
         adj[u].add(ids[v])
         adj[v].add(ids[u])
-    for _ in range(config.extra_edge_attempts):
+    # A vertex below cap has at most cap - 1 neighbours, so while more than
+    # cap vertices are below it some such pair is apart and an attempt may
+    # still add an edge. Once every such pair is adjacent none can, and
+    # nothing draws from prng after the loop, so stopping there keeps the
+    # output of any number of attempts.
+    below_cap = sum(len(nbrs) < cap for nbrs in adj)
+    attempts = config.extra_edge_attempts
+    if below_cap <= cap and _saturated(adj, cap):
+        attempts = 0
+    for _ in range(attempts):
         u = prng.below(n)
         v = prng.below(n)
         if u == v or v in adj[u]:
@@ -157,4 +166,13 @@ def _gen_random_capped(config, cap):
             continue
         adj[u].add(ids[v])
         adj[v].add(ids[u])
+        below_cap -= (len(adj[u]) == cap) + (len(adj[v]) == cap)
+        if below_cap <= cap and _saturated(adj, cap):
+            break
     return _freeze(ids, adj)
+
+
+def _saturated(adj, cap):
+    """Whether every two vertices below cap are adjacent."""
+    below = [v for v, nbrs in enumerate(adj) if len(nbrs) < cap]
+    return all(v in adj[u] for i, u in enumerate(below) for v in below[i + 1 :])

@@ -286,13 +286,14 @@ def test_violation_replay_file_keeps_input_ids(tmp_path, monkeypatch):
     real = engine._Pool.find_step
     calls = []
 
-    def fail_second_call(pool):
+    def fail_from_second_call(pool):
+        # Again on the retry after the sweep of pending vertices.
         calls.append(pool)
-        if len(calls) == 2:
+        if len(calls) >= 2:
             raise pool.violation("R4", (3,), "forced failure")
         return real(pool)
 
-    monkeypatch.setattr(engine._Pool, "find_step", fail_second_call)
+    monkeypatch.setattr(engine._Pool, "find_step", fail_from_second_call)
     assert _run(["solve", str(graph)])[0] == 5
     text = (tmp_path / "invariant-fail.txt").read_text()
     lines = text.splitlines()

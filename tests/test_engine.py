@@ -317,7 +317,13 @@ def test_solve_named_graphs():
     assert k2.matching == ((0, 1),)
 
 
-def test_solve_rejects_c25():
+def test_solve_rejects_c25(monkeypatch):
+    # Only an input component can be C25, so it is rejected at the exact
+    # finish of the input's small components, before any rule step.
+    def find_step(pool):
+        raise AssertionError("a rule step was sought")
+
+    monkeypatch.setattr(engine._Pool, "find_step", find_step)
     with pytest.raises(C25ComponentError) as info:
         solve(gen_c25())
     assert info.value.component == tuple(range(10))
@@ -336,6 +342,16 @@ def test_solve_rejects_c25():
     edges = [(perm[u], perm[v]) for u, v in gen_c25().edges()]
     with pytest.raises(C25ComponentError):
         solve(build_graph(10, edges))
+    # of two relabeled copies, on the even and the odd ids of 10..29, after
+    # a 5-vertex path and before a 30-cycle, the one with the lower ids
+    edges = [(i, i + 1) for i in range(4)]
+    for offset, mult in ((10, 3), (11, 7)):
+        perm = {v: offset + 2 * ((mult * v) % 10) for v in range(10)}
+        edges += [(perm[u], perm[v]) for u, v in gen_c25().edges()]
+    edges += [(u + 30, v + 30) for u, v in gen_cycle(30).edges()]
+    with pytest.raises(C25ComponentError) as info:
+        solve(build_graph(60, edges))
+    assert info.value.component == tuple(range(10, 30, 2))
 
 
 def test_solve_rejects_degree_five():
@@ -465,8 +481,8 @@ def test_validate_step():
         "removed vertex 99 is not present"
     ]
 
-    # solve rejects C25 up front; were it ever finished exactly mid-reduction,
-    # this check would refuse the step as unpaid
+    # the exact finish rejects C25 before its step is built; were that step
+    # ever checked, this check would refuse it as unpaid
     c25 = gen_c25()
     assert engine._step_violations(
         c25.adjacency, max_induced_matching(c25), tuple(range(10))
@@ -627,11 +643,11 @@ def _assert_witnesses_sound(pool):
 
 
 def _reduction(g):
-    """solve's pool for g, and the generator of its steps."""
+    """solve's pool for g, reduced, and the steps it returned."""
     pool = engine._Pool(
         {v: nbrs for v, nbrs in g.adjacency.items() if nbrs}, g.vertices()
     )
-    return pool, pool.reduce(pool.split_small(sorted(pool.adj)))
+    return pool, pool.reduce()
 
 
 # Random graphs at one to four extra-edge attempts per vertex: the
@@ -648,10 +664,11 @@ REDUCTION_CORPUS = tuple(
 def test_split_small_matches_oracle_through_whole_reductions(monkeypatch):
     # Every split_small call and every probe of a rule step's component is
     # checked against the oracle, and the witnesses against the live pool
-    # after every batch of steps.
+    # after every apply.
     found = []
     split_small = engine._Pool.split_small
     small_component = engine._Pool._small_component
+    apply = engine._Pool.apply
 
     def checked(pool, seeds):
         comps = split_small(pool, seeds)
@@ -667,13 +684,20 @@ def test_split_small_matches_oracle_through_whole_reductions(monkeypatch):
         probed.append(comp)
         return comp
 
+    def checked_apply(pool, removed):
+        apply(pool, removed)
+        _assert_witnesses_sound(pool)
+        applied.append(removed)
+
     probed = []
+    applied = []
     monkeypatch.setattr(engine._Pool, "split_small", checked)
     monkeypatch.setattr(engine._Pool, "_small_component", checked_probe)
+    monkeypatch.setattr(engine._Pool, "apply", checked_apply)
     for g in REDUCTION_CORPUS:
-        pool, steps = _reduction(g)
-        for _ in steps:
-            _assert_witnesses_sound(pool)
+        applied.clear()
+        _, steps = _reduction(g)
+        assert len(applied) == len(steps)
     assert found
     assert any(probed) and not all(probed)
 
@@ -721,15 +745,21 @@ def test_pool_invariants_hold_after_every_rule_step(monkeypatch):
     for g in (*REDUCTION_CORPUS, late_rule_graph(20)):
         rule_steps.clear()
         pool, steps = _reduction(g)
-        yielded_at = []  # how many rule steps were applied at each yield
-        for step in steps:
-            if step.rule != "EXACT":
-                yielded_at.append(pool.rule_steps)
-        # The first rule step is yielded at once, so next_reduction costs
-        # one step.
-        assert yielded_at[0] == 1
-        assert len(yielded_at) == len(rule_steps)
+        assert sum(step.rule != "EXACT" for step in steps) == len(rule_steps)
         assert not pool.adj and not pool.pending and not pool.exact_after
+
+
+def test_next_reduction_applies_nothing(monkeypatch):
+    # next_reduction finds and checks the first step of solve's reduction
+    # of a connected graph, on a pool it never changes.
+    graphs = (*REDUCTION_CORPUS, gen_cycle(20), dodecahedron())
+    first = [solve(g).certificate.steps[0] for g in graphs]
+
+    def no_apply(pool, removed):
+        raise AssertionError("next_reduction applied a step")
+
+    monkeypatch.setattr(engine._Pool, "apply", no_apply)
+    assert [next_reduction(g) for g in graphs] == first
 
 
 def _assert_exact_steps_placed(g, steps):
@@ -850,10 +880,12 @@ def test_raises_see_every_cut_off_component_finished(monkeypatch):
     assert _live_small_components(info.value.graph.adjacency) == []
 
     find_step = engine._Pool.find_step
+    unpaid = []  # the step made unpaid, found again after the sweep
 
     def unpaid_step(pool):
         step = find_step(pool)
-        if step is not None and small_ones_pending(pool):
+        if step is not None and (step in unpaid or small_ones_pending(pool)):
+            unpaid.append(step)
             # Only the endpoints go, so their other neighbours survive.
             ends = tuple(sorted(p for e in step.matched for p in e))
             return ReductionStep(step.rule, step.matched, ends)
@@ -864,6 +896,19 @@ def test_raises_see_every_cut_off_component_finished(monkeypatch):
         solve(g)
     assert "survives" in info.value.detail
     assert _live_small_components(info.value.graph.adjacency) == []
+    assert len(unpaid) == 2 and unpaid[0] == unpaid[1]
+
+
+def test_an_unpaid_exact_step_on_a_cut_off_component_raises_once(monkeypatch):
+    # The path's last 16 vertices are cut off by a rule step and finished
+    # while their survivor is pending. The finish that fails its check must
+    # not be swept up and finished a second time.
+    monkeypatch.setattr(engine, "max_induced_matching", lambda g: ())
+    with pytest.raises(InvariantViolationError) as info:
+        solve(gen_path(40))
+    assert info.value.rule == "EXACT"
+    assert info.value.witness == tuple(range(24, 40))
+    assert info.value.__context__ is None
 
 
 def test_split_small_returns_a_piece_cut_from_a_live_witness():
@@ -925,62 +970,61 @@ def _assert_queues_complete(pool):
             assert u not in adj or adj[u] == {v}, (v, u)
 
 
-def _reduce_checking_queues(g):
+def _reduce_checking_queues(g, monkeypatch):
     """Reduce g with the rule queues checked against every entry a rule
     would fire on each time find_step consults them, which is after every
-    rule step, and again after each step yielded from the first rule step
-    on (reduce may hold steps back and yield them in a batch); returns the
-    rules fired. The input's own small components are finished before any
-    end is queued, so the queues are not complete until then."""
-    pool, steps = _reduction(g)
+    rule step; returns the rules fired. The input's own small components
+    are finished before any end is queued, so the queues are not complete
+    until then."""
+    find_step = engine._Pool.find_step
+    consults = []
 
-    def find_step():
+    def checked_find_step(pool):
         _assert_queues_complete(pool)
-        return engine._Pool.find_step(pool)
+        consults.append(len(pool.adj))
+        return find_step(pool)
 
-    pool.find_step = find_step
-    fired = Counter()
-    for step in steps:
-        if step.rule != "EXACT":
-            fired[step.rule] += 1
-        if fired:
-            _assert_queues_complete(pool)
+    monkeypatch.setattr(engine._Pool, "find_step", checked_find_step)
+    _, steps = _reduction(g)
+    fired = Counter(step.rule for step in steps if step.rule != "EXACT")
+    # Every rule step was found on a live pool that the checks saw.
+    assert sum(map(bool, consults)) >= sum(fired.values())
     return fired
 
 
-def test_rule_queues_hold_every_live_entry_through_whole_reductions():
+def test_rule_queues_hold_every_live_entry_through_whole_reductions(monkeypatch):
     # R1-R9 fire on the first graph and R10 on the second. On the third, at
     # the CLI's default density, ends outlive their centre's fall below
     # degree 4, so R1 entries come from the centre's event.
-    fired = _reduce_checking_queues(late_rule_graph(20))
+    fired = _reduce_checking_queues(late_rule_graph(20), monkeypatch)
     assert set(fired) == {f"R{k}" for k in range(1, 10)}
     fired = _reduce_checking_queues(
-        gen_random_maxdeg4(RandomGraphConfig(32, 128, 3995))
+        gen_random_maxdeg4(RandomGraphConfig(32, 128, 3995)), monkeypatch
     )
     assert fired == {"R4": 1, "R10": 1, "R5": 1}
     fired = _reduce_checking_queues(
-        gen_random_maxdeg4(RandomGraphConfig(100, 200, 2))
+        gen_random_maxdeg4(RandomGraphConfig(100, 200, 2)), monkeypatch
     )
     assert fired == {"R1": 14, "R4": 5}
 
 
-def test_ends_of_input_small_components_are_never_queued():
+def test_ends_of_input_small_components_are_never_queued(monkeypatch):
     # The input's small components are finished before any end event is
     # queued, so when find_step first runs every R1-R4 entry names live
     # vertices only; the 5-vertex path's ends would otherwise be queued.
     big = gen_cycle(30)
     path = [(30 + i, 31 + i) for i in range(4)]
     g = build_graph(36, [*big.edges(), (0, 35), *path])
-    pool, steps = _reduction(g)
+    find_step = engine._Pool.find_step
     queued = []
 
-    def find_step():
+    def recording_find_step(pool):
         for name in engine.RULE_NAMES[:4]:
             for entry in pool.queues[name]:
                 queued.extend(entry if isinstance(entry, tuple) else (entry,))
-        return engine._Pool.find_step(pool)
+        return find_step(pool)
 
-    pool.find_step = find_step
-    rules = [step.rule for step in steps]
+    monkeypatch.setattr(engine._Pool, "find_step", recording_find_step)
+    rules = [step.rule for step in _reduction(g)[1]]
     assert rules[0] == "EXACT" and "R1" in rules
     assert queued and not set(queued) & set(range(30, 35))

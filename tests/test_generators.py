@@ -175,3 +175,38 @@ def test_gen_random_capped_at_three():
         g = _gen_random_capped(cfg, cap=3)
         assert g.max_degree() <= 3
         assert len(g.components()) == 1
+
+
+def _random_ref(n, attempts, seed, cap):
+    """The random generator's edges with every attempt made, no early stop."""
+    prng = SplitMix64(seed)
+    adj = [set() for _ in range(n)]
+    for v in range(1, n):
+        u = prng.below(v)
+        while len(adj[u]) >= cap:
+            u = prng.below(v)
+        adj[u].add(v)
+        adj[v].add(u)
+    for _ in range(attempts):
+        u = prng.below(n)
+        v = prng.below(n)
+        if u != v and v not in adj[u] and max(len(adj[u]), len(adj[v])) < cap:
+            adj[u].add(v)
+            adj[v].add(u)
+    return sorted((u, v) for u in range(n) for v in adj[u] if u < v)
+
+
+def test_gen_random_stops_once_no_edge_can_be_added():
+    # Past the point where every two vertices below the cap are adjacent no
+    # attempt can change the graph, so 10**30 attempts end at once with the
+    # graph that any number of attempts from there gives.
+    for cap in (3, 4):
+        for n in range(1, 13):
+            for seed in range(4):
+                many = _gen_random_capped(RandomGraphConfig(n, 10**30, seed), cap)
+                fewer = _gen_random_capped(RandomGraphConfig(n, 10**5, seed), cap)
+                assert many.edges() == fewer.edges()
+                assert many.edges() == _random_ref(n, 2000, seed, cap)
+                adj = many.adjacency
+                below = [v for v in adj if len(adj[v]) < cap]
+                assert all(v in adj[u] for u in below for v in below if u != v)
