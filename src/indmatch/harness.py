@@ -7,10 +7,14 @@ tile the graph exactly and assemble into the reported matching.
 
 The replay checks each step with its own code, in the same pass that
 deletes the step's vertices. It does not share the engine's exact solver:
-an EXACT step that matched k edges is re-checked by a search over vertices
-that must find k edges and refute k + 1, where the engine searched over
-edges. verify_solution shares no code with the engine either. The exact
-solver serves only fuzz, which compares small trials with the optimum.
+an EXACT step that matched k edges is re-checked by a search over vertices,
+where the engine searched over edges. The step's vertices are read into
+neighbour masks in one pass; when they form a whole connected component
+and the step's k pairs are an induced matching of it, the pairs show that
+k edges exist and one search must refute k + 1. Otherwise the search must
+find k edges and refute k + 1, and the step gets the full step check.
+verify_solution shares no code with the engine either. The exact solver
+serves only fuzz, which compares small trials with the optimum.
 
 The fuzz loop is fully deterministic: trial t of a run with master seed s
 derives its own seed by one splitmix64 step from s + t, so any failure can
@@ -142,11 +146,12 @@ def _replay_report(g, result, solution):
             replayed = False
             break
         if step.rule == "EXACT":
-            for msg in _exact_step_problems(cur, step):
-                structure.append(f"step {k} {msg}")
-        elif step.rule not in RULE_NAMES:
-            structure.append(f"step {k} names unknown rule {step.rule}")
-        for kind, msg in _check_step(cur, step.matched, rset):
+            problems = _check_exact_step(cur, step.matched, rset)
+        else:
+            if step.rule not in RULE_NAMES:
+                structure.append(f"step {k} names unknown rule {step.rule}")
+            problems = _check_step(cur, step.matched, rset)
+        for kind, msg in problems:
             if kind == "structure":
                 structure.append(f"step {k} {msg}")
             else:
@@ -233,31 +238,76 @@ def _check_step(cur, matched, rset):
         if not cur[y]:
             del cur[y]
             isolated += 1
-    if 9 * len(matched) < len(rset) + isolated:
-        problems.append((
+    return problems + _unpaid(len(matched), len(rset), isolated)
+
+
+def _unpaid(k, removed, isolated):
+    """The nine-per-edge count of a step that matched k edges, removed that
+    many vertices and left that many isolated: [] if it pays, else its one
+    'accounting' problem."""
+    if 9 * k < removed + isolated:
+        return [(
             "accounting",
-            f"9*{len(matched)} matched < {len(rset)} removed"
-            f" + {isolated} isolated",
-        ))
-    return problems
+            f"9*{k} matched < {removed} removed + {isolated} isolated",
+        )]
+    return []
 
 
-def _exact_step_problems(cur, step):
-    rset = set(step.removed)
-    problems = []
-    if not rset:
-        problems.append("exact step removes no vertices")
-        return problems
-    leaks = sorted(
-        y for x in rset for y in cur[x] if y not in rset
-    )
+def _check_exact_step(cur, matched, rset):
+    """Check an EXACT step against the replay graph cur and delete rset, its
+    removed vertices, from cur: the replay's _check_step for EXACT steps.
+
+    Returns the re-check's 'structure' problems, then _check_step's. A step
+    of at most EXACT_THRESHOLD vertices is read into neighbour masks in one
+    pass. If no edge leaves it, it is connected, and its pairs are an
+    induced matching of it, then the pairs show that k edges exist, so one
+    search refuting k + 1 shows that k is the optimum; and none of
+    _check_step's pair tests can fail and the step has no boundary, so only
+    the count is left. Otherwise the search runs from k and _check_step
+    checks the step as it does any other.
+    """
+    k = len(matched)
+    if not rset or len(rset) > EXACT_THRESHOLD:
+        problems = [("structure", _misfit(cur, rset))]
+        return problems + _check_step(cur, matched, rset)
+    order = sorted(rset)
+    index = {v: i for i, v in enumerate(order)}
+    nbrs = []
+    leaks = []
+    for v in order:
+        mask = 0
+        for y in cur[v]:
+            i = index.get(y)
+            if i is None:
+                leaks.append(y)
+            else:
+                mask |= 1 << i
+        nbrs.append(mask)
+    full = (1 << len(order)) - 1
     if leaks:
-        problems.append(
-            f"exact removal is not a whole component (edges to {leaks[:4]})"
-        )
-        return problems
+        problems = [("structure", _leak_message(leaks))]
+    elif _reach(nbrs) != full:
+        problems = [("structure", "exact removal is not connected")]
+    elif _is_induced_matching(nbrs, index, matched):
+        problems = _optimum_problems(nbrs, full, k, True)
+        for v in order:
+            del cur[v]
+        return problems + _unpaid(k, len(order), 0)
+    else:
+        problems = _optimum_problems(nbrs, full, k, False)
+    return problems + _check_step(cur, matched, rset)
+
+
+def _misfit(cur, rset):
+    # Why an EXACT step that is empty or past EXACT_THRESHOLD vertices is
+    # refused. A set, not a bitmask: a forged step may be huge.
+    if not rset:
+        return "exact step removes no vertices"
+    leaks = [y for x in rset for y in cur[x] if y not in rset]
+    if leaks:
+        return _leak_message(leaks)
     # No edge leaves rset, so a search over cur from any one of its vertices
-    # stays inside it. A set, not a bitmask: a forged step may be huge.
+    # stays inside it.
     start = next(iter(rset))
     seen = {start}
     stack = [start]
@@ -267,26 +317,50 @@ def _exact_step_problems(cur, step):
                 seen.add(y)
                 stack.append(y)
     if len(seen) != len(rset):
-        problems.append("exact removal is not connected")
-        return problems
-    if len(rset) > EXACT_THRESHOLD:
-        problems.append(
-            f"exact component of {len(rset)} vertices is too large to re-check"
-        )
-        return problems
-    order = sorted(rset)
-    index = {v: i for i, v in enumerate(order)}
-    nbrs = []
-    for v in order:
-        mask = 0
-        for y in cur[v]:
-            mask |= 1 << index[y]
-        nbrs.append(mask)
-    full = (1 << len(order)) - 1
-    k = len(step.matched)
+        return "exact removal is not connected"
+    return f"exact component of {len(rset)} vertices is too large to re-check"
+
+
+def _leak_message(leaks):
+    return (
+        f"exact removal is not a whole component (edges to {sorted(leaks)[:4]})"
+    )
+
+
+def _reach(nbrs):
+    """The mask of vertices joined by a path to vertex 0."""
+    seen = todo = 1
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = nbrs[low.bit_length() - 1] & ~seen
+        seen |= new
+        todo |= new
+    return seen
+
+
+def _is_induced_matching(nbrs, index, matched):
+    """Whether matched is an induced matching of the graph of nbrs, whose
+    vertex v is bit index[v]."""
+    near = 0  # the matched endpoints so far and their neighbours
+    for a, b in matched:
+        i = index.get(a)
+        j = index.get(b)
+        if i is None or j is None or not nbrs[i] >> j & 1:
+            return False
+        ends = 1 << i | 1 << j
+        if ends & near:
+            return False
+        near |= ends | nbrs[i] | nbrs[j]
+    return True
+
+
+def _optimum_problems(nbrs, full, k, shown):
+    """The re-check of an EXACT step that matched k edges on the component
+    of nbrs; shown says the step's own pairs already show k edges exist."""
     budget = [0]
     try:
-        if _has_induced_matching(nbrs, full, k, budget):
+        if shown or _has_induced_matching(nbrs, full, k, budget):
             best = k
             while _has_induced_matching(nbrs, full, best + 1, budget):
                 best += 1
@@ -295,13 +369,12 @@ def _exact_step_problems(cur, step):
             while not _has_induced_matching(nbrs, full, best, budget):
                 best -= 1
     except BudgetExceededError:
-        problems.append("exact component re-check ran out of search budget")
-        return problems
-    if best != k:
-        problems.append(
-            f"exact step matched {k} edges, the optimum is {best}"
-        )
-    return problems
+        problem = "exact component re-check ran out of search budget"
+    else:
+        if best == k:
+            return []
+        problem = f"exact step matched {k} edges, the optimum is {best}"
+    return [("structure", problem)]
 
 
 def _has_induced_matching(nbrs, full, need, budget):

@@ -273,19 +273,21 @@ def test_verify_certificate_rechecks_only_threshold_sized_exact(monkeypatch):
     big = _single_exact(gen_path(19))
     monkeypatch.setattr(harness, "_has_induced_matching", counting)
     assert verify_certificate(gen_path(18), small).ok
-    # One search finds the claimed size, one refutes a size one larger.
-    assert calls == [18, 18]
+    # The step's own pairs show the claimed size; one search refutes a size
+    # one larger.
+    assert calls == [18]
     report = verify_certificate(gen_path(19), big)
     assert not report.induced_ok
     assert report.details == (
         "step 1 exact component of 19 vertices is too large to re-check",
     )
-    assert calls == [18, 18]
+    assert calls == [18]
 
 
 def test_verify_certificate_reports_an_exhausted_recheck(monkeypatch):
-    # The re-check of this component pops 260 nodes, finding 4 edges and
-    # refuting 5; a budget of one stops it at the second.
+    # The step's 4 pairs show 4 edges exist, and the re-check of this
+    # component pops 225 nodes refuting 5; a budget of one stops it at the
+    # second.
     g = gen_random_maxdeg4(
         RandomGraphConfig(n=18, extra_edge_attempts=72, seed=18)
     )
