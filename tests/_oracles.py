@@ -78,6 +78,51 @@ def reachable(adjacency, start):
     return seen
 
 
+def induced_matching_number(adjacency):
+    """Size of a largest induced matching of the graph adjacency (vertex ->
+    neighbour set): the least vertex left is either matched to one of its
+    neighbours left, which deletes both closed neighbourhoods, or not."""
+    return _most_induced(adjacency, frozenset(adjacency), {})
+
+
+def _most_induced(adjacency, left, memo):
+    if not left:
+        return 0
+    if left not in memo:
+        v = min(left)
+        best = _most_induced(adjacency, left - {v}, memo)
+        for u in adjacency[v] & left:
+            rest = left - adjacency[v] - adjacency[u] - {u, v}
+            best = max(best, 1 + _most_induced(adjacency, rest, memo))
+        memo[left] = best
+    return memo[left]
+
+
+def exact_recheck_ref(adjacency, matched, removed, max_size):
+    """The messages the certificate replay gives an EXACT step that matched
+    the pairs matched and removes the vertices removed, all present in the
+    graph adjacency, before it checks the step as it checks any other.
+
+    The tests run in turn and the first that fails ends the list: the step
+    removes something; no edge leaves it; it is connected; it has at most
+    max_size vertices; and len(matched) is the optimum on it.
+    """
+    rset = set(removed)
+    if not rset:
+        return ["exact step removes no vertices"]
+    leaks = sorted(y for x in rset for y in adjacency[x] if y not in rset)
+    if leaks:
+        return [f"exact removal is not a whole component (edges to {leaks[:4]})"]
+    if reachable(adjacency, min(rset)) != rset:
+        return ["exact removal is not connected"]
+    if len(rset) > max_size:
+        return [f"exact component of {len(rset)} vertices is too large to re-check"]
+    best = induced_matching_number({v: adjacency[v] for v in rset})
+    if best != len(matched):
+        return [f"exact step matched {len(matched)} edges, the optimum is {best}"]
+    return []
+
+
 def is_induced_matching_ref(adjacency, pairs):
     """Direct transcription of the induced-matching definition."""
     used = set()
