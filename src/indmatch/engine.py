@@ -166,9 +166,11 @@ def next_reduction(g):
 
 
 def _check_input(g):
-    for v in g.vertices():
-        if g.degree(v) > 4:
-            raise MaxDegreeExceededError(v, g.degree(v))
+    adj = g.adjacency
+    over = [v for v, nbrs in adj.items() if len(nbrs) > 4]
+    if over:
+        v = min(over)
+        raise MaxDegreeExceededError(v, len(adj[v]))
 
 
 def _step(rule, matched, removed):

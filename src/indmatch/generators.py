@@ -8,18 +8,20 @@ induced matching sits exactly on interesting boundaries.
 
 from dataclasses import dataclass
 
-from .graph import _freeze, _id_list, build_graph
+from .graph import Graph, _id_list, build_graph
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def splitmix64_next(state):
     """One splitmix64 step: returns (value, new state), both 64-bit."""
     state = (state + _GAMMA) & _MASK64
     z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     z ^= z >> 31
     return z, state
 
@@ -137,42 +139,87 @@ def _gen_random_capped(config, cap):
         raise ValueError(f"random graph needs n >= 1, got {n}")
     if config.extra_edge_attempts < 0:
         raise ValueError("extra_edge_attempts must be >= 0")
-    prng = SplitMix64(config.seed)
-    # The sets hold the graph's own id objects, as build_graph's do.
+    # _id_list runs first: it refuses a count past sys.maxsize and runs out
+    # of memory on one too large to hold, so cap * n never overflows the
+    # slot list's size (an OverflowError the CLI does not map to exit 4).
     ids = _id_list(n)
-    adj = [set() for _ in ids]
-    for v in range(1, n):
+    # Vertex v's neighbours are slots[cap * v : cap * v + deg[v]], the
+    # graph's own id objects, as build_graph's sets hold; the rest is None.
+    deg = [0] * n
+    slots = [None] * (cap * n)
+    mask, gamma, m1, m2 = _MASK64, _GAMMA, _MIX1, _MIX2
+    # Each draw below is SplitMix64.below inlined: one splitmix64_next step
+    # per output, its top bits kept, values past the bound rejected.
+    state = config.seed & mask
+    if n > 1:
+        # below(1) draws nothing: vertex 1 always joins vertex 0.
+        slots[0] = ids[1]
+        slots[cap] = ids[0]
+        deg[0] = deg[1] = 1
+    for v in range(2, n):
+        shift = 64 - (v - 1).bit_length()
         while True:
-            u = prng.below(v)
-            if len(adj[u]) < cap:
+            state = (state + gamma) & mask
+            z = ((state ^ (state >> 30)) * m1) & mask
+            z = ((z ^ (z >> 27)) * m2) & mask
+            u = (z ^ (z >> 31)) >> shift
+            # A full u is redrawn, as a rejected value is.
+            if u < v and deg[u] < cap:
                 break
-        adj[u].add(ids[v])
-        adj[v].add(ids[u])
+        slots[cap * u + deg[u]] = ids[v]
+        deg[u] += 1
+        slots[cap * v] = ids[u]
+        deg[v] = 1
     # A vertex below cap has at most cap - 1 neighbours, so while more than
     # cap vertices are below it some such pair is apart and an attempt may
     # still add an edge. Once every such pair is adjacent none can, and
-    # nothing draws from prng after the loop, so stopping there keeps the
-    # output of any number of attempts.
-    below_cap = sum(len(nbrs) < cap for nbrs in adj)
+    # nothing draws after the loop, so stopping there keeps the output of
+    # any number of attempts.
+    below_cap = n - deg.count(cap)
     attempts = config.extra_edge_attempts
-    if below_cap <= cap and _saturated(adj, cap):
+    if below_cap <= cap and _saturated(deg, slots, cap):
         attempts = 0
+    shift = 64 - (n - 1).bit_length()
     for _ in range(attempts):
-        u = prng.below(n)
-        v = prng.below(n)
-        if u == v or v in adj[u]:
+        while True:
+            state = (state + gamma) & mask
+            z = ((state ^ (state >> 30)) * m1) & mask
+            z = ((z ^ (z >> 27)) * m2) & mask
+            u = (z ^ (z >> 31)) >> shift
+            if u < n:
+                break
+        while True:
+            state = (state + gamma) & mask
+            z = ((state ^ (state >> 30)) * m1) & mask
+            z = ((z ^ (z >> 27)) * m2) & mask
+            v = (z ^ (z >> 31)) >> shift
+            if v < n:
+                break
+        du = deg[u]
+        dv = deg[v]
+        if du >= cap or dv >= cap or u == v:
             continue
-        if len(adj[u]) >= cap or len(adj[v]) >= cap:
+        base = cap * u
+        if v in slots[base : base + du]:
             continue
-        adj[u].add(ids[v])
-        adj[v].add(ids[u])
-        below_cap -= (len(adj[u]) == cap) + (len(adj[v]) == cap)
-        if below_cap <= cap and _saturated(adj, cap):
+        slots[base + du] = ids[v]
+        slots[cap * v + dv] = ids[u]
+        du += 1
+        dv += 1
+        deg[u] = du
+        deg[v] = dv
+        below_cap -= (du == cap) + (dv == cap)
+        if below_cap <= cap and _saturated(deg, slots, cap):
             break
-    return _freeze(ids, adj)
+    frozen = {v: frozenset(slots[cap * v : cap * v + deg[v]]) for v in ids}
+    return Graph._trusted(frozen, sum(deg) // 2)
 
 
-def _saturated(adj, cap):
+def _saturated(deg, slots, cap):
     """Whether every two vertices below cap are adjacent."""
-    below = [v for v, nbrs in enumerate(adj) if len(nbrs) < cap]
-    return all(v in adj[u] for i, u in enumerate(below) for v in below[i + 1 :])
+    below = [v for v, d in enumerate(deg) if d < cap]
+    return all(
+        v in slots[cap * u : cap * u + deg[u]]
+        for i, u in enumerate(below)
+        for v in below[i + 1 :]
+    )

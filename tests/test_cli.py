@@ -164,6 +164,35 @@ def test_huge_header_exits_4_without_a_traceback(tmp_path):
     assert run.stdout == ""
 
 
+@pytest.mark.parametrize("count", [2**62, 2**63 - 1])
+def test_gen_random_extreme_count_exits_4_without_a_traceback(tmp_path, count):
+    # Counts a list may hold in principle but memory cannot: the id list is
+    # refused as out of memory before the generator sizes cap * n slots,
+    # which past sys.maxsize would raise OverflowError instead. The child
+    # runs under a 1 GiB address-space limit.
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = tmp_path / "g.txt"
+    run = subprocess.run(
+        [sys.executable, "-m", "indmatch.cli", "gen", "--family", "random",
+         "--n", str(count), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=limit_memory,
+    )
+    assert run.returncode == 4
+    assert run.stderr == "error: out of memory\n"
+    assert run.stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "exact", "verify", "gen", "gen-path"])
 def test_vertex_count_past_sys_maxsize_exits_4(tmp_path, capsys, command):
     # No list holds 2^63 ids, so the count is refused before anything is

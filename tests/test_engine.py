@@ -6,6 +6,7 @@ import pytest
 
 from indmatch import (
     C25ComponentError,
+    Graph,
     InvariantViolationError,
     MaxDegreeExceededError,
     RandomGraphConfig,
@@ -360,6 +361,18 @@ def test_solve_rejects_degree_five():
         solve(star5)
     assert info.value.vertex == 0
     assert info.value.degree == 5
+
+
+def test_degree_error_names_the_smallest_offending_vertex():
+    # Two hubs of degree 5; the larger is listed first in the second
+    # graph's adjacency, so the error cannot come from iteration order.
+    edges = [(9, i) for i in range(10, 15)] + [(2, i) for i in range(3, 8)]
+    g = build_graph(15, edges)
+    reordered = Graph({v: g.neighbors(v) for v in reversed(g.vertices())})
+    for graph in (g, reordered):
+        with pytest.raises(MaxDegreeExceededError) as info:
+            solve(graph)
+        assert (info.value.vertex, info.value.degree) == (2, 5)
 
 
 def test_solve_handles_isolated_and_components():

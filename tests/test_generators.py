@@ -1,8 +1,13 @@
+import hashlib
+
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
 from indmatch import (
     RandomGraphConfig,
     SplitMix64,
+    format_graph,
     gen_c25,
     gen_cycle,
     gen_k33plus,
@@ -210,3 +215,37 @@ def test_gen_random_stops_once_no_edge_can_be_added():
                 adj = many.adjacency
                 below = [v for v in adj if len(adj[v]) < cap]
                 assert all(v in adj[u] for u in below for v in below if u != v)
+
+
+# The sizes where bit_length(n - 1), and so the draw's shift, changes.
+_BIT_BOUNDARIES = sorted({m for k in range(11) for m in (2**k, 2**k + 1)})
+
+
+@st.composite
+def random_configs(draw):
+    n = draw(st.one_of(st.integers(1, 70), st.sampled_from(_BIT_BOUNDARIES)))
+    attempts = draw(st.integers(0, 60 * n))
+    seed = draw(st.integers(-(2**64), 2**66))
+    cap = draw(st.sampled_from((3, 4)))
+    return n, attempts, seed, cap
+
+
+# Each example saturates: every two vertices below the cap end adjacent long
+# before the attempts run out, so the generator stops early and the
+# reference makes every remaining draw.
+@hypothesis.example((5, 300, 0, 4))
+@hypothesis.example((9, 540, -1, 3))
+@hypothesis.example((17, 1020, 2**64 + 5, 4))
+@hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@hypothesis.given(random_configs())
+def test_gen_random_draws_the_reference_stream(config):
+    n, attempts, seed, cap = config
+    g = _gen_random_capped(RandomGraphConfig(n, attempts, seed), cap)
+    assert g.edges() == _random_ref(n, attempts, seed, cap)
+
+
+def test_gen_random_output_bytes_are_pinned():
+    text = format_graph(gen_random_maxdeg4(RandomGraphConfig(1000, 2000, 7604)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7a3c68ae4359765658e282d8ea240e1b2749b0358c371a9db92cedc76d5fa044"
+    )
