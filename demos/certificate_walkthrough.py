@@ -20,7 +20,8 @@ from indmatch import (
 
 def main():
     g = gen_random_maxdeg4(RandomGraphConfig(n=60, extra_edge_attempts=120, seed=4))
-    print(f"instance: n={g.n} m={g.m} max degree {g.max_degree()}")
+    degree = max(map(len, g.adjacency.values()))
+    print(f"instance: n={g.n} m={g.m} max degree {degree}")
 
     result = solve(g)
     print(f"matched {len(result.matching)} edges"

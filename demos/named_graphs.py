@@ -18,7 +18,8 @@ from indmatch import (
 
 def describe(name, g):
     best = max_induced_matching(g)
-    print(f"{name}: n={g.n} m={g.m} max degree {g.max_degree()}"
+    degree = max(map(len, g.adjacency.values()))
+    print(f"{name}: n={g.n} m={g.m} max degree {degree}"
           f" optimum {len(best)} {list(best)}")
     return best
 

@@ -5,8 +5,9 @@ byte-identical across runs with the same arguments; anything timed or
 diagnostic goes to stderr.
 
 Exit codes: 0 success, 2 max degree exceeded, 3 excluded component in the
-input, 4 usage or parse failure or out of memory, 5 internal invariant
-violation, 6 checks found failures, 7 search budget exhausted. Fuzz failures
+input, 4 usage or parse failure, out of memory, or a graph past exact's
+edge cap, 5 internal invariant violation, 6 checks found failures, 7 search
+budget exhausted. Fuzz failures
 and invariant violations also leave a replay file in the working directory.
 """
 
@@ -53,6 +54,14 @@ EXIT_USAGE = 4
 EXIT_INVARIANT = 5
 EXIT_CHECKS_FAILED = 6
 EXIT_BUDGET = 7
+
+# exact refuses a graph of more edges than this before the search builds
+# anything. The search keeps one conflict mask of m bits per edge, and each
+# node works over those masks, so memory grows as m^2 and a node's cost with
+# m: the node budget bounds the number of nodes, not the run. On a random
+# graph of 34,163 edges the masks alone took 266 MB. The solver is meant
+# for components of a few dozen edges.
+_EXACT_MAX_EDGES = 1000
 
 
 def _write_repro(name, header, graph):
@@ -111,6 +120,13 @@ def _cmd_solve(args):
 
 def _cmd_exact(args):
     g = parse_graph_file(args.graph)
+    if g.m > _EXACT_MAX_EDGES:
+        print(
+            f"error: exact takes at most {_EXACT_MAX_EDGES} edges;"
+            f" the graph has {g.m}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     started = perf_counter()
     matching = max_induced_matching(g, max_nodes=args.budget)
     elapsed = perf_counter() - started

@@ -131,7 +131,7 @@ def solve(g):
     _check_input(g)
     adj = {v: nbrs for v, nbrs in g.adjacency.items() if nbrs}
     isolated = g.n - len(adj)
-    steps = _Pool(adj, g.vertices()).reduce()
+    steps = _Pool(adj, g.adjacency).reduce()
     matching = tuple(sorted(p for st in steps for p in st.matched))
     if 9 * len(matching) < g.n - isolated:
         raise InvariantViolationError(
@@ -158,7 +158,7 @@ def next_reduction(g):
         )
     if len(g.components()) != 1:
         raise ValueError("graph is not connected")
-    pool = _Pool(dict(g.adjacency), g.vertices())
+    pool = _Pool(dict(g.adjacency), g.adjacency)
     pool._queue_ends()
     step = pool.find_step()
     pool.check(step, step.matched)
@@ -295,10 +295,13 @@ class _Pool:
     The pendant rules R1-R4 are pushed at the event that could first make
     an entry fire: a vertex becoming an end, or the neighbour of ends
     falling to degree 3 or 2. ends_at[v] lists the vertices that became
-    ends on v; an end keeps its one neighbour while it lives, so the live
-    members of ends_at[v] (those still in adj) are exactly v's pendant
-    neighbours, and R1-R3 read them there instead of testing the degree of
-    every vertex in reach.
+    ends on v. An end keeps its one neighbour while it lives and dies only
+    with it: R1-R4 remove unions of closed neighbourhoods, R5 onward run
+    only once R4 has taken every end, and an EXACT step removes a whole
+    component; apply drops a deleted vertex's list. So every member of
+    ends_at[v] is live, ends_at[v] is exactly v's pendant neighbours, and
+    R1-R3 read them there instead of testing the degree of every vertex in
+    reach.
 
     R5-R12 are deferred to _flush, which find_step runs just before it
     consults R5. Until the first flush none of their queues holds anything;
@@ -319,7 +322,9 @@ class _Pool:
     queued for R1-R4 is still an end on the same neighbour, and R1-R4 test
     only that their ends live. R5 does not test that v lives, since a u
     still at degree 2 still has v, nor split_small that its seeds, pending
-    vertices, live.
+    vertices, live. R7 and R8 share _degree2_step: R7's step, once its
+    4-cycle test holds, is R8's with u matched towards its smaller
+    neighbour, which R8 tries first.
 
     reduce is the one reduction loop, and returns the steps. It first
     finishes each component that is small in the input, and only then
@@ -358,8 +363,9 @@ class _Pool:
     Only an input component can be one: a component that a rule step cuts
     off holds a survivor that lost a neighbour, and C25 is 4-regular.
 
-    ids are the input's vertex ids; a violation's graph keeps all of them,
-    deleted ones isolated, so its witness names the written graph's ids.
+    ids iterates over the input's vertex ids; a violation's graph keeps all
+    of them, deleted ones isolated, so its witness names the written
+    graph's ids.
 
     big_at maps each vertex of a live witness to it: a list of
     EXACT_THRESHOLD + 1 vertices that one probe found connected. An edge
@@ -403,8 +409,7 @@ class _Pool:
             return
         r1 = self.queues["R1"]
         for u in self.ends_at.get(v, ()):
-            if u in adj:
-                heappush(r1, (u, v))
+            heappush(r1, (u, v))
         if self.dirty is not None:
             self.dirty.append(v)
 
@@ -423,8 +428,7 @@ class _Pool:
         else:
             r2 = queues["R2"]
             for u in ends:
-                if u in adj:
-                    heappush(r2, (y, u, v) if y < u else (u, y, v))
+                heappush(r2, (y, u, v) if y < u else (u, y, v))
             ends.append(y)
         # R3: while two ends live their neighbors are fixed and common
         # neighbors only disappear, so a pair that ever qualifies already
@@ -436,8 +440,7 @@ class _Pool:
                 if v2 == v or v2 in nv:
                     continue
                 for u2 in ends_at.get(v2, ()):
-                    if u2 in adj:
-                        heappush(r3, (y, u2) if y < u2 else (u2, y))
+                    heappush(r3, (y, u2) if y < u2 else (u2, y))
 
     def _flush(self):
         """Queue the R5-R10 entries of every vertex noted since the last
@@ -523,10 +526,9 @@ class _Pool:
             if nbrs:
                 survivors.append(y)
             else:
+                # A live witness is connected, so one holding y lost a
+                # neighbour of y above and is gone already.
                 del adj[y]
-                if y in big_at:
-                    for v in big_at[y]:
-                        del big_at[v]
                 ends_at.pop(y, None)
                 pending.pop(y, None)
         # Events fire only after every boundary degree is final, so the
@@ -810,47 +812,49 @@ class _Pool:
         return _step("R6", ((u, a),), adj[u] | adj[a])
 
     def _r7(self, u):
-        # Degree-2 vertex on a 4-cycle u-v-w-t. Either few vertices drop
-        # out, or one dropped vertex s reaches back into N(v) at some r
-        # clear of t, giving the induced pair {ut, rs}.
+        # Degree-2 vertex on a 4-cycle u-v-w-t, v < t: the degree-2 step
+        # with u matched towards v.
         adj = self.adj
         if u not in adj or len(adj[u]) != 2:
             return None
         v, t = sorted(adj[u])
-        nt = adj[t]
-        w = min((w for w in adj[v] if w != u and w in nt), default=None)
+        w = min((w for w in adj[v] if w != u and w in adj[t]), default=None)
         if w is None:
             return None
-        x = adj[u] | adj[v]
-        iso = _isolated(adj, x)
-        if len(iso) <= 3:
-            return _step("R7", ((u, v),), x)
-        for s in iso:
-            for r in sorted(adj[v] & adj[s]):
-                matched = ((u, t), (r, s))
-                if _induced(adj, matched):
-                    return _step("R7", matched, x | set(iso) | nt | adj[r])
-        raise self.violation("R7", (u, v, w, t), "no pair clears the cycle")
+        step = self._degree2_step("R7", u, v, t)
+        if step is None:
+            raise self.violation("R7", (u, v, w, t), "no pair clears the cycle")
+        return step
 
     def _r8(self, u):
-        # Any remaining degree-2 vertex; try both neighbor orientations.
-        # Either the removal isolates little, or some dropped vertex s
-        # reaches N(v) at t while missing w, giving {st, uw}.
+        # Any remaining degree-2 vertex: the degree-2 step towards its
+        # smaller neighbor, else towards its larger one.
         adj = self.adj
         if u not in adj or len(adj[u]) != 2:
             return None
         a, b = sorted(adj[u])
         for v, w in ((a, b), (b, a)):
-            x = adj[u] | adj[v]
-            iso = _isolated(adj, x)
-            if len(iso) <= 3:
-                return _step("R8", ((u, v),), x)
-            for s in iso:
-                for t in sorted(adj[v] & adj[s]):
-                    matched = ((s, t), (u, w))
-                    if _induced(adj, matched):
-                        return _step("R8", matched, x | set(iso) | adj[t] | adj[w])
+            step = self._degree2_step("R8", u, v, w)
+            if step is not None:
+                return step
         raise self.violation("R8", u, "both orientations failed")
+
+    def _degree2_step(self, rule, u, v, w):
+        # Shared R7/R8 step for a degree-2 vertex u with neighbors v and w.
+        # Either deleting N(u) | N(v) isolates little, or some dropped
+        # vertex s reaches N(v) at t while missing w, giving the induced
+        # pair {st, uw}; None if no candidate pair is induced.
+        adj = self.adj
+        x = adj[u] | adj[v]
+        iso = _isolated(adj, x)
+        if len(iso) <= 3:
+            return _step(rule, ((u, v),), x)
+        for s in iso:
+            for t in sorted(adj[v] & adj[s]):
+                matched = ((s, t), (u, w))
+                if _induced(adj, matched):
+                    return _step(rule, matched, x | set(iso) | adj[t] | adj[w])
+        return None
 
     def _r9(self, u):
         # Smallest triangle u < v < w: match uv unless too much drops out,

@@ -70,21 +70,6 @@ class Graph:
     def vertices(self):
         return tuple(sorted(self._adj))
 
-    def degree(self, v):
-        try:
-            return len(self._adj[v])
-        except KeyError:
-            raise UnknownVertexError(f"no vertex {v}") from None
-
-    def neighbors(self, v):
-        try:
-            return self._adj[v]
-        except KeyError:
-            raise UnknownVertexError(f"no vertex {v}") from None
-
-    def max_degree(self):
-        return max((len(s) for s in self._adj.values()), default=0)
-
     def edges(self):
         """All edges as (min, max) pairs, sorted."""
         out = []

@@ -510,7 +510,7 @@ def fuzz(config):
             solution = verify_solution(g, result.matching)
             if not solution.ok:
                 fail("solution check failed", solution.details)
-            certificate = verify_certificate(g, result)
+            certificate = _replay_report(g, result, solution)
             if not certificate.ok:
                 fail("certificate check failed", certificate.details)
             if n <= _CROSS_CHECK_MAX_N:

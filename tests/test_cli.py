@@ -26,7 +26,7 @@ from indmatch import (
     verify_certificate,
 )
 from indmatch import engine
-from indmatch.cli import _build_parser, run
+from indmatch.cli import _EXACT_MAX_EDGES, _build_parser, run
 from indmatch.formats import format_certificate, format_graph
 
 
@@ -138,27 +138,32 @@ def test_parse_and_io_failures(tmp_path):
     assert _run(["solve", "--help"])[0] == 0
 
 
-def test_huge_header_exits_4_without_a_traceback(tmp_path):
-    # An 11-byte file names fifty million isolated vertices, a legal graph
-    # that does not fit under a 1 GiB address-space limit. The limit is set
-    # on the child alone.
+def _run_child_in_1gib(argv):
+    """Run the CLI on argv in a child process under a 1 GiB address-space
+    limit, set on the child alone."""
     resource = pytest.importorskip("resource")
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
-    graph = tmp_path / "huge.txt"
-    graph.write_text("50000000 0\n")
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    run = subprocess.run(
-        [sys.executable, "-m", "indmatch.cli", "solve", str(graph)],
+    return subprocess.run(
+        [sys.executable, "-m", "indmatch.cli", *argv],
         env=env, capture_output=True, text=True, timeout=120,
         preexec_fn=limit_memory,
     )
+
+
+def test_huge_header_exits_4_without_a_traceback(tmp_path):
+    # An 11-byte file names fifty million isolated vertices, a legal graph
+    # that does not fit under a 1 GiB address-space limit.
+    graph = tmp_path / "huge.txt"
+    graph.write_text("50000000 0\n")
+    run = _run_child_in_1gib(["solve", str(graph)])
     assert run.returncode == 4
     assert run.stderr == "error: out of memory\n"
     assert run.stdout == ""
@@ -170,22 +175,9 @@ def test_gen_random_extreme_count_exits_4_without_a_traceback(tmp_path, count):
     # refused as out of memory before the generator sizes cap * n slots,
     # which past sys.maxsize would raise OverflowError instead. The child
     # runs under a 1 GiB address-space limit.
-    resource = pytest.importorskip("resource")
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
     out = tmp_path / "g.txt"
-    run = subprocess.run(
-        [sys.executable, "-m", "indmatch.cli", "gen", "--family", "random",
-         "--n", str(count), "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
-        preexec_fn=limit_memory,
+    run = _run_child_in_1gib(
+        ["gen", "--family", "random", "--n", str(count), "--out", str(out)]
     )
     assert run.returncode == 4
     assert run.stderr == "error: out of memory\n"
@@ -234,6 +226,39 @@ def test_exact_command(tmp_path):
                  "--out", str(big)])[0] == 0
     assert _run(["exact", str(big), "--budget", "1"])[0] == 7
     assert _run(["exact", str(graph), "--budget", "-3"])[0] == 4
+
+
+def test_exact_refuses_a_graph_past_its_edge_cap(tmp_path, capsys):
+    # A path of cap + 1 vertices has cap edges and is solved; one vertex
+    # more is refused before the search starts.
+    at_cap = tmp_path / "at.txt"
+    at_cap.write_text(format_graph(gen_path(_EXACT_MAX_EDGES + 1)))
+    assert _run(["exact", str(at_cap)])[0] == 0
+    capsys.readouterr()
+    past = tmp_path / "past.txt"
+    past.write_text(format_graph(gen_path(_EXACT_MAX_EDGES + 2)))
+    assert _run(["exact", str(past)]) == (4, "")
+    assert capsys.readouterr().err == (
+        f"error: exact takes at most {_EXACT_MAX_EDGES} edges;"
+        f" the graph has {_EXACT_MAX_EDGES + 1}\n"
+    )
+
+
+def test_exact_on_a_big_graph_exits_4_without_building_masks(tmp_path):
+    # The 34,163 edges of this graph would need 266 MB of conflict masks
+    # and about 0.3 s per search node, so without the edge cap the command
+    # runs far past the timeout. The child runs under a 1 GiB address-space
+    # limit, so a search that did start could not take the host's memory.
+    graph = tmp_path / "g.txt"
+    assert _run(["gen", "--family", "random", "--n", "20000", "--seed", "1",
+                 "--out", str(graph)])[0] == 0
+    run = _run_child_in_1gib(["exact", str(graph)])
+    assert run.returncode == 4
+    assert run.stderr == (
+        f"error: exact takes at most {_EXACT_MAX_EDGES} edges;"
+        " the graph has 34163\n"
+    )
+    assert run.stdout == ""
 
 
 def test_verify_detects_bad_matching(tmp_path):
@@ -328,7 +353,7 @@ def test_violation_replay_file_keeps_input_ids(tmp_path, monkeypatch):
     lines = text.splitlines()
     assert "# witness (3,)" in lines
     assert [line for line in lines if not line.startswith("#")][0] == "40 36"
-    assert set(parse_graph_text(text).neighbors(3)) == {4}
+    assert set(parse_graph_text(text).adjacency[3]) == {4}
 
 
 def test_readme_lists_every_cli_flag():

@@ -110,7 +110,7 @@ def test_first_step_r4():
 def test_first_step_r6():
     # degree-2 vertex 0 inside triangle (0, 1, 20)
     g = minus(21, circulant(21, (1, 2)), [(0, 2), (0, 19)])
-    assert g.degree(0) == 2
+    assert len(g.adjacency[0]) == 2
     step = next_reduction(g)
     assert step.rule == "R6"
     assert step.matched == ((0, 1),)
@@ -192,7 +192,7 @@ def test_first_step_r10_degree3_partner():
     ]
     edges += shifted_dodecahedron(9) + [(2, 9), (4, 14), (5, 19)]
     g = build_graph(29, edges)
-    assert g.degree(3) == 3
+    assert len(g.adjacency[3]) == 3
     step = next_reduction(g)
     assert step.rule == "R10"
     assert step.matched == ((0, 3),)
@@ -282,13 +282,70 @@ R9_SKIP_WITNESSES = {
 def test_first_step_r9_skip_witness(name):
     core, shift, iso, matched = R9_SKIP_WITNESSES[name]
     g = build_graph(20 + shift, core + shifted_dodecahedron(shift))
-    near = {0, 1} | g.neighbors(0) | g.neighbors(1)
+    near = {0, 1} | g.adjacency[0] | g.adjacency[1]
     assert engine._isolated(g.adjacency, near) == iso
     step = next_reduction(g)
     assert step.rule == "R9"
     assert step.matched == matched
     assert step.removed == tuple(range(shift))
     assert verify_certificate(g, solve(g)).ok
+
+
+def _pool(g):
+    return engine._Pool(dict(g.adjacency), g.adjacency)
+
+
+def test_r8_takes_its_second_orientation():
+    # 3 has neighbours 0 and 6 and lies on the 4-cycle 3-0-9-6. Towards 0,
+    # deleting N(3) | N(0) isolates 1, 5, 7 and 8, and every candidate pair
+    # touches 6; towards 6 it isolates only 1, 2 and 8. So R7, which tries
+    # the first orientation alone, raises, and R8 matches 3-6.
+    edges = [(0, 2), (0, 3), (0, 9), (1, 9), (2, 5), (3, 6), (5, 6), (6, 7),
+             (6, 9), (8, 9)]
+    g = build_graph(10, edges)
+    pool = _pool(g)
+    adj = pool.adj
+    assert engine._isolated(adj, adj[3] | adj[0]) == [1, 5, 7, 8]
+    for s, t in ((1, 9), (5, 2), (8, 9)):
+        assert not engine._induced(adj, ((s, t), (3, 6)))
+    assert engine._isolated(adj, adj[3] | adj[6]) == [1, 2, 8]
+    with pytest.raises(InvariantViolationError) as info:
+        engine._Pool._r7(pool, 3)
+    assert info.value.rule == "R7"
+    assert info.value.witness == (3, 0, 9, 6)
+    assert info.value.detail == "no pair clears the cycle"
+    step = engine._Pool._r8(pool, 3)
+    assert step == ReductionStep("R8", ((3, 6),), (0, 3, 5, 6, 7, 9))
+    assert not _problems(g, step)
+
+
+@pytest.mark.parametrize("rule, u, edges, skipped, step", [
+    # 3 has neighbours 1 and 5 and lies on no triangle or 4-cycle; deleting
+    # N(3) | N(1) isolates 4, 7, 8 and 9. The pairs 4-6 and 7-6 touch 5.
+    ("R8", 3,
+     [(0, 1), (0, 6), (0, 8), (1, 2), (1, 3), (1, 6), (2, 8), (2, 9), (3, 5),
+      (4, 5), (4, 6), (5, 7), (5, 9), (6, 7)],
+     [(4, 6), (7, 6)], ((0, 8), (3, 5))),
+    # 2 has neighbours 3 and 9 and lies on the 4-cycle 2-3-4-9; deleting
+    # N(2) | N(3) isolates 0, 1, 5 and 7. The pair 0-4 touches 9.
+    ("R7", 2,
+     [(0, 4), (0, 6), (1, 4), (1, 6), (1, 8), (2, 3), (2, 9), (3, 4), (3, 6),
+      (3, 8), (4, 9), (5, 8), (5, 9), (6, 7), (7, 9)],
+     [(0, 4)], ((0, 6), (2, 9))),
+])
+def test_degree2_step_skips_a_pair_that_is_not_induced(
+    rule, u, edges, skipped, step
+):
+    g = build_graph(10, edges)
+    pool = _pool(g)
+    adj = pool.adj
+    v, w = sorted(adj[u])
+    assert len(engine._isolated(adj, adj[u] | adj[v])) > 3
+    for pair in skipped:
+        assert not engine._induced(adj, (pair, (u, w)))
+    got = getattr(engine._Pool, f"_{rule.lower()}")(pool, u)
+    assert got == ReductionStep(rule, step, tuple(range(10)))
+    assert not _problems(g, got)
 
 
 def test_next_reduction_rejects_small_or_disconnected():
@@ -368,7 +425,7 @@ def test_degree_error_names_the_smallest_offending_vertex():
     # graph's adjacency, so the error cannot come from iteration order.
     edges = [(9, i) for i in range(10, 15)] + [(2, i) for i in range(3, 8)]
     g = build_graph(15, edges)
-    reordered = Graph({v: g.neighbors(v) for v in reversed(g.vertices())})
+    reordered = Graph({v: g.adjacency[v] for v in reversed(g.vertices())})
     for graph in (g, reordered):
         with pytest.raises(MaxDegreeExceededError) as info:
             solve(graph)
@@ -516,7 +573,7 @@ def test_r10_after_a_degree_drop():
     # Vertex 2 starts at degree 4 and only reaches degree 3, on a 4-cycle,
     # when the R4 step deletes a neighbor.
     g = gen_random_maxdeg4(RandomGraphConfig(32, 128, 3995))
-    assert g.degree(2) == 4
+    assert len(g.adjacency[2]) == 4
     result = solve(g)
     assert [st.rule for st in result.certificate.steps] == ["R4", "R10", "R5", "EXACT"]
     assert format_certificate(result) == (
@@ -929,7 +986,7 @@ def test_split_small_returns_a_piece_cut_from_a_live_witness():
     # leaves 0..9 as a 10-vertex component inside that witness, which the
     # next probe must report instead of trusting the witness.
     path = gen_path(40)
-    pool = engine._Pool({v: set(path.neighbors(v)) for v in range(40)}, range(40))
+    pool = engine._Pool({v: set(path.adjacency[v]) for v in range(40)}, range(40))
     assert pool.split_small([0]) == []
     assert sorted(pool.big_at[0]) == list(range(19))
     pool.apply({10})
@@ -977,10 +1034,11 @@ def _assert_queues_complete(pool):
     for y in adj:
         if len(adj[y]) == 1:
             assert y in pool.ends_at[next(iter(adj[y]))]
-    # The R1-R4 rules rest on this: a live end keeps its one neighbour.
+    # The R1-R4 rules rest on this: an end keeps its one neighbour and dies
+    # only with it, so every indexed end is live.
     for v, ends in pool.ends_at.items():
         for u in ends:
-            assert u not in adj or adj[u] == {v}, (v, u)
+            assert u in adj and adj[u] == {v}, (v, u)
 
 
 def _reduce_checking_queues(g, monkeypatch):

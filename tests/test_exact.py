@@ -52,7 +52,7 @@ def test_conflict_graph_matches_definition():
                     continue
                 touching = bool({a, b} & {c, d})
                 joined = any(
-                    y in g.neighbors(x) for x in (a, b) for y in (c, d)
+                    y in g.adjacency[x] for x in (a, b) for y in (c, d)
                 )
                 assert (j in cg.conflicts[i]) == (touching or joined)
 
@@ -97,7 +97,7 @@ def test_matches_subset_oracle():
         checked += 1
         best = max_induced_matching(g)
         assert len(best) == _oracles.nu_s(g)
-        adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+        adj = {v: set(g.adjacency[v]) for v in g.vertices()}
         assert _oracles.is_induced_matching_ref(adj, best)
     assert checked >= 100
 

@@ -37,11 +37,10 @@ def test_build_graph_basics():
     g = build_graph(2, [(0, 1)])
     assert g.n == 2 and g.m == 1
     tri = build_graph(3, [(0, 1), (1, 2), (2, 0)])
-    assert all(tri.degree(v) == 2 for v in tri.vertices())
+    assert all(len(s) == 2 for s in tri.adjacency.values())
     assert tri.edges() == [(0, 1), (0, 2), (1, 2)]
     empty = build_graph(0, [])
     assert empty.n == 0 and empty.m == 0
-    assert empty.max_degree() == 0
 
 
 def test_build_graph_rejects_bad_edges():
@@ -114,21 +113,7 @@ def test_adjacency_view_is_read_only():
     g = build_graph(2, [(0, 1)])
     with pytest.raises(TypeError):
         g.adjacency[0] = set()
-    assert isinstance(g.neighbors(0), frozenset)
-
-
-def test_degree_and_neighbors():
-    g = path(3)
-    assert g.degree(1) == 2
-    assert g.neighbors(1) == {0, 2}
-    assert g.max_degree() == 2
-    for call in (lambda: g.degree(9), lambda: g.neighbors(9)):
-        with pytest.raises(UnknownVertexError):
-            call()
-    c25 = gen_c25()
-    assert all(c25.degree(v) == 4 for v in c25.vertices())
-    lone = build_graph(1, [])
-    assert lone.degree(0) == 0 and lone.neighbors(0) == frozenset()
+    assert isinstance(g.adjacency[0], frozenset)
 
 
 def test_components():
@@ -150,7 +135,7 @@ def test_components_agree_with_reachability():
         g = g.subgraph([v for v in g.vertices() if prng.below(4) != 0])
         comps = g.components()
         assert sorted(v for comp in comps for v in comp) == list(g.vertices())
-        adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+        adj = {v: set(g.adjacency[v]) for v in g.vertices()}
         for comp in comps:
             assert _oracles.reachable(adj, comp[0]) == set(comp)
 
@@ -187,7 +172,7 @@ def test_is_induced_matching_matches_reference():
         edges = g.edges()
         k = 1 + prng.below(3)
         pairs = [edges[prng.below(len(edges))] for _ in range(k)]
-        adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+        adj = {v: set(g.adjacency[v]) for v in g.vertices()}
         assert is_induced_matching(g, pairs) == _oracles.is_induced_matching_ref(
             adj, pairs
         )
@@ -236,7 +221,7 @@ def _pairing_model_4regular(prng, n):
 
 def test_c25_recognition_matches_reference():
     c25 = gen_c25()
-    model = {v: set(c25.neighbors(v)) for v in c25.vertices()}
+    model = {v: set(c25.adjacency[v]) for v in c25.vertices()}
     edges = c25.edges()
     candidates = [c25]
     # Every double-edge switch ab, cd -> ad, cb keeps the graph 4-regular.
@@ -252,6 +237,6 @@ def test_c25_recognition_matches_reference():
     prng = SplitMix64(2510)
     candidates += [_pairing_model_4regular(prng, 10) for _ in range(60)]
     for g in candidates:
-        assert all(g.degree(v) == 4 for v in g.vertices())
-        adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+        assert all(len(s) == 4 for s in g.adjacency.values())
+        adj = {v: set(g.adjacency[v]) for v in g.vertices()}
         assert is_isomorphic_c25(g) == _enum.isomorphic(adj, model), g.edges()

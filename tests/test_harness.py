@@ -342,10 +342,12 @@ def test_fuzz_trial_seeds_are_isolated():
 
 
 def test_fuzz_records_a_check_that_raises(monkeypatch):
-    def broken(g, result):
+    def broken(g, result, solution):
         raise RuntimeError("replay crashed")
 
-    monkeypatch.setattr("indmatch.harness.verify_certificate", broken)
+    # fuzz replays the certificate through _replay_report, handing it the
+    # solution report it already has.
+    monkeypatch.setattr("indmatch.harness._replay_report", broken)
     report = fuzz(FuzzConfig(trials=1, n_min=20, n_max=20, seed=3))
     assert not report.ok
     (failure,) = report.failures
@@ -354,6 +356,21 @@ def test_fuzz_records_a_check_that_raises(monkeypatch):
     assert report.summary_lines()[2:] == [
         "failures 1", f"trial 0 seed {failure.seed} check raised RuntimeError",
     ]
+
+
+def test_fuzz_checks_each_solution_once(monkeypatch):
+    # The certificate replay reuses the trial's solution report.
+    calls = []
+    real = harness.verify_solution
+
+    def counted(g, matching):
+        calls.append(g)
+        return real(g, matching)
+
+    monkeypatch.setattr(harness, "verify_solution", counted)
+    report = fuzz(FuzzConfig(trials=6, n_min=2, n_max=40, seed=8))
+    assert report.ok and report.skipped_c25 == 0
+    assert len(calls) == 6
 
 
 def test_fuzz_reports_each_failed_check_with_its_trial(monkeypatch):

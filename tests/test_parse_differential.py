@@ -104,7 +104,7 @@ def _package(text):
         g = parse_graph_text(text)
     except Exception as exc:  # any type the reference does not name fails
         return ("error", type(exc).__name__, str(exc))
-    return ("graph", g.n, g.m, {v: set(g.neighbors(v)) for v in g.vertices()})
+    return ("graph", g.n, g.m, {v: set(g.adjacency[v]) for v in g.vertices()})
 
 
 def _reference(text):
